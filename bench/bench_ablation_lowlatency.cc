@@ -53,8 +53,8 @@ int Run(int argc, char** argv) {
     std::map<Key, TimePoint>& mine = detections[low_latency ? 1 : 0];
     op.SetMatchObserver([&mine](const Match& m) {
       Key key;
-      key.reserve(m.config.size());
-      for (const Situation& s : m.config) key.push_back(s.ts);
+      key.reserve(m.size());
+      for (const Situation* s : m.situations) key.push_back(s->ts);
       mine.emplace(std::move(key), m.detected_at);
     });
 

@@ -36,8 +36,8 @@ int Run(int argc, char** argv) {
       std::vector<RandomSituationGenerator::StreamOptions> streams(3);
       RandomSituationGenerator gen(streams, 99);
       int64_t matches = 0;
-      Matcher matcher(pattern, window,
-                      [&](const Match&) { ++matches; });
+      CallbackSink sink([&](const Match&) { ++matches; });
+      Matcher matcher(pattern, window, &sink);
       matcher.SetNaiveScan(naive);
       const double ms = TimeMs([&] {
         for (int64_t i = 0; i < situations; ++i) {

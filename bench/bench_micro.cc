@@ -89,7 +89,8 @@ void BM_MatcherUpdate(benchmark::State& state) {
   // A before B on steadily arriving situations with a sliding window.
   TemporalPattern p({"A", "B"});
   (void)p.AddRelation(0, Relation::kBefore, 1);
-  Matcher matcher(p, 2000, [](const Match&) {});
+  CallbackSink sink([](const Match&) {});
+  Matcher matcher(p, 2000, &sink);
   TimePoint t = 0;
   int sym = 0;
   for (auto _ : state) {
@@ -105,7 +106,8 @@ void BM_LowLatencyUpdate(benchmark::State& state) {
   TemporalPattern p({"A", "B"});
   (void)p.AddRelation(0, Relation::kOverlaps, 1);
   DetectionAnalysis analysis(p, std::vector<DurationConstraint>(2));
-  LowLatencyMatcher matcher(p, analysis, 2000, [](const Match&) {});
+  CallbackSink sink([](const Match&) {});
+  LowLatencyMatcher matcher(p, analysis, 2000, &sink);
   TimePoint t = 0;
   int sym = 0;
   for (auto _ : state) {

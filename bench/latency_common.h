@@ -93,7 +93,7 @@ struct LatencyObserver {
     const double processing_ms = NowMs() - push_start_ms;
     processing_sum_ms += processing_ms;
     processing_us->Record(static_cast<int64_t>(processing_ms * 1000.0));
-    const TimePoint td = EarliestDetection(*pattern, m.config);
+    const TimePoint td = EarliestDetection(*pattern, m.situations);
     const TimePoint gap = m.detected_at - td;
     gap_sum_s += static_cast<double>(gap);
     gap_ticks->Record(gap);

@@ -173,29 +173,41 @@ DetectionAnalysis::DetectionAnalysis(
 }
 
 TimePoint EarliestDetection(const TemporalPattern& pattern,
-                            const std::vector<Situation>& config) {
-  // Certainty can only change at endpoints of the involved situations.
-  std::vector<TimePoint> instants;
+                            std::span<const Situation* const> config) {
   TimePoint max_ts = kTimeMin;
-  for (const Situation& s : config) {
-    instants.push_back(s.ts);
-    instants.push_back(s.te);
-    max_ts = std::max(max_ts, s.ts);
-  }
-  std::sort(instants.begin(), instants.end());
-  instants.erase(std::unique(instants.begin(), instants.end()),
-                 instants.end());
+  for (const Situation* s : config) max_ts = std::max(max_ts, s->ts);
 
-  std::vector<Situation> visible(config.size());
-  for (TimePoint t : instants) {
-    if (t < max_ts) continue;  // every situation must have started
-    for (size_t i = 0; i < config.size(); ++i) {
-      visible[i] = config[i];
-      if (visible[i].te > t) visible[i].te = kTimeUnknown;
+  // Certainty can only change at endpoints of the involved situations,
+  // and every situation must have started: the answer is the smallest
+  // endpoint >= max_ts at which every constraint is certain, with each
+  // situation's end hidden until reached.
+  const auto certain_at = [&](TimePoint t) {
+    const auto visible = [&](int symbol) {
+      const Situation& s = *config[symbol];
+      return Situation({}, s.ts, s.te > t ? kTimeUnknown : s.te);
+    };
+    for (const TemporalConstraint& c : pattern.constraints()) {
+      if (c.Check(visible(c.a), visible(c.b)) != Certainty::kCertain) {
+        return false;
+      }
     }
-    if (pattern.Check(visible) == Certainty::kCertain) return t;
+    return true;
+  };
+  TimePoint best = kTimeMax;
+  for (const Situation* s : config) {
+    for (const TimePoint t : {s->ts, s->te}) {
+      if (t >= max_ts && t < best && certain_at(t)) best = t;
+    }
   }
-  return kTimeMax;
+  return best;
+}
+
+TimePoint EarliestDetection(const TemporalPattern& pattern,
+                            const std::vector<Situation>& config) {
+  std::vector<const Situation*> view;
+  view.reserve(config.size());
+  for (const Situation& s : config) view.push_back(&s);
+  return EarliestDetection(pattern, view);
 }
 
 }  // namespace tpstream

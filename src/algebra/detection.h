@@ -1,6 +1,7 @@
 #ifndef TPSTREAM_ALGEBRA_DETECTION_H_
 #define TPSTREAM_ALGEBRA_DETECTION_H_
 
+#include <span>
 #include <vector>
 
 #include "algebra/pattern.h"
@@ -74,6 +75,14 @@ class DetectionAnalysis {
 /// no earlier instant concludes the match (and kTimeMax if the
 /// configuration does not match at all). Ignores windows and duration
 /// constraints.
+///
+/// Takes the configuration as one pointer per symbol (the layout of a
+/// Match view) and neither copies situations nor allocates.
+TimePoint EarliestDetection(const TemporalPattern& pattern,
+                            std::span<const Situation* const> config);
+
+/// Convenience overload for an owned configuration; forwards to the view
+/// overload.
 TimePoint EarliestDetection(const TemporalPattern& pattern,
                             const std::vector<Situation>& config);
 

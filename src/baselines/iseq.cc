@@ -64,12 +64,7 @@ void IseqMatcher::Step(size_t step_index, TimePoint now) {
     }
     if (max_te - min_ts > window_) return;
     ++num_matches_;
-    if (callback_) {
-      Match match;
-      match.detected_at = now;
-      for (const Situation* s : working_set_) match.config.push_back(*s);
-      callback_(match);
-    }
+    if (callback_) callback_(Match{working_set_, now});
     return;
   }
   const int symbol = order_[step_index];

@@ -77,12 +77,7 @@ void TwoPhaseMatcher::Join(size_t symbol_index, TimePoint now) {
       if (!any) return;
     }
     ++num_matches_;
-    if (callback_) {
-      Match match;
-      match.detected_at = now;
-      for (const Situation* s : working_set_) match.config.push_back(*s);
-      callback_(match);
-    }
+    if (callback_) callback_(Match{working_set_, now});
     return;
   }
   if (working_set_[symbol_index] != nullptr) {

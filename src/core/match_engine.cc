@@ -14,7 +14,8 @@ MatchEngine::MatchEngine(const QuerySpec* spec, const Deriver* deriver,
       deriver_slots_(std::move(deriver_slots)),
       options_(std::move(options)),
       output_(std::move(output)) {
-  auto on_match = [this](const Match& m) { OnMatch(m); };
+  // The base is private; convert here, where it is accessible.
+  MatchSink* sink = this;
   if (options_.low_latency) {
     // Duration constraints in *query symbol* order: the shared deriver
     // stores definitions in deduplicated order, so index through the
@@ -25,11 +26,11 @@ MatchEngine::MatchEngine(const QuerySpec* spec, const Deriver* deriver,
     for (int slot : deriver_slots_) durations.push_back(shared[slot]);
     DetectionAnalysis analysis(spec_->pattern, std::move(durations));
     ll_matcher_ = std::make_unique<LowLatencyMatcher>(
-        spec_->pattern, std::move(analysis), spec_->window, on_match,
+        spec_->pattern, std::move(analysis), spec_->window, sink,
         options_.stats_alpha);
   } else {
-    matcher_ = std::make_unique<Matcher>(spec_->pattern, spec_->window,
-                                         on_match, options_.stats_alpha);
+    matcher_ = std::make_unique<Matcher>(spec_->pattern, spec_->window, sink,
+                                         options_.stats_alpha);
   }
 
   if (!options_.overload.unbounded()) {
@@ -74,6 +75,7 @@ void MatchEngine::InstallInitialPlan() {
 void MatchEngine::Reset() {
   num_events_ = 0;
   num_matches_ = 0;
+  num_consumes_ = 0;
   if (ll_matcher_) ll_matcher_->Reset();
   if (matcher_) matcher_->Reset();
   // Rebuild the adaptive state exactly as construction would: fresh
@@ -150,10 +152,13 @@ void MatchEngine::Consume(Deriver::Update& update, TimePoint t) {
     }
   }
 
-  // EMAs change slowly; publishing at the optimizer's check cadence keeps
-  // the gauges fresh without touching the per-event fast path.
+  // EMAs change only here; publishing every reopt_interval-th consume
+  // (the controller's check cadence) keeps the gauges fresh without
+  // touching the per-event fast path. Counting events instead would
+  // publish only when a consume happened to land on a multiple.
+  ++num_consumes_;
   if (stats_publisher_.enabled() &&
-      num_events_ % std::max(options_.reopt_interval, 1) == 0) {
+      num_consumes_ % std::max(options_.reopt_interval, 1) == 0) {
     stats_publisher_.Publish(stats());
   }
 }
@@ -170,7 +175,8 @@ void MatchEngine::OnMatch(const Match& match) {
     // earliest detection instant t_d (Section 5.3.1) this match surfaced.
     // The low-latency matcher should pin this at ~0; the baseline matcher
     // pays the distance between t_d and the last end timestamp.
-    const TimePoint td = EarliestDetection(spec_->pattern, match.config);
+    const TimePoint td =
+        EarliestDetection(spec_->pattern, match.situations);
     if (td != kTimeMax && match.detected_at >= td) {
       detection_latency_hist_->Record(
           static_cast<int64_t>(match.detected_at - td));
@@ -179,10 +185,12 @@ void MatchEngine::OnMatch(const Match& match) {
   if (match_observer_) match_observer_(match);
   if (!output_) return;
 
-  Tuple payload;
-  payload.reserve(spec_->returns.size());
+  // Project in place: the event's payload keeps its capacity across
+  // matches, and ongoing aggregates are read one value at a time.
+  Tuple& payload = output_event_.payload;
+  payload.clear();
   for (const ReturnItem& item : spec_->returns) {
-    const Situation& s = match.config[item.symbol];
+    const Situation& s = match[item.symbol];
     switch (item.source) {
       case ReturnItem::Source::kStartTime:
         payload.push_back(Value(static_cast<int64_t>(s.ts)));
@@ -201,18 +209,16 @@ void MatchEngine::OnMatch(const Match& match) {
     }
     const int slot = deriver_slots_[item.symbol];
     if (s.ongoing() && deriver_->IsOngoing(slot)) {
-      // Freshest aggregate snapshot for situations still being derived.
-      const Tuple snapshot = deriver_->SnapshotOngoing(slot);
-      payload.push_back(item.agg_index < static_cast<int>(snapshot.size())
-                            ? snapshot[item.agg_index]
-                            : Value::Null());
+      // Freshest aggregate for situations still being derived.
+      payload.push_back(deriver_->OngoingAggregate(slot, item.agg_index));
     } else {
       payload.push_back(item.agg_index < static_cast<int>(s.payload.size())
                             ? s.payload[item.agg_index]
                             : Value::Null());
     }
   }
-  output_(Event(std::move(payload), match.detected_at));
+  output_event_.t = match.detected_at;
+  output_(output_event_);
 }
 
 void MatchEngine::ForceEvaluationOrder(const std::vector<int>& order) {

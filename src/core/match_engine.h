@@ -32,9 +32,14 @@ namespace tpstream {
 /// it. `deriver_slots[s]` maps the query-local symbol `s` to the index of
 /// its definition inside the (possibly shared, deduplicated) deriver;
 /// a standalone operator passes the identity mapping. The mapping is only
-/// used to snapshot the freshest aggregates of still-ongoing situations
-/// at match time.
-class MatchEngine {
+/// used to read the freshest aggregates of still-ongoing situations at
+/// match time.
+///
+/// The engine is the MatchSink at the end of the emission chain: the
+/// matchers hand it each match as a view, and OnMatch projects RETURN
+/// into a reused Event. Both the Match given to the observer and the
+/// Event given to the output callback are valid only during the call.
+class MatchEngine : private MatchSink {
  public:
   struct Options {
     bool low_latency = true;
@@ -57,6 +62,10 @@ class MatchEngine {
               std::vector<int> deriver_slots, Options options,
               OutputCallback output);
 
+  // The matchers hold this engine's address as their sink.
+  MatchEngine(const MatchEngine&) = delete;
+  MatchEngine& operator=(const MatchEngine&) = delete;
+
   /// Advances the input-event count by `n` without matching work. A
   /// standalone operator calls NoteEvents(1) per event; a QueryGroup
   /// advances lazily (just before a Consume and at Flush), so per-query
@@ -65,7 +74,8 @@ class MatchEngine {
 
   /// Processes one deriver step for this query: feeds the matchers (the
   /// update vectors are consumed by move), runs the adaptive controller
-  /// and publishes statistics at its cadence. No-op on an empty update.
+  /// and publishes statistics every `reopt_interval`-th call, the
+  /// controller's check cadence. No-op on an empty update.
   void Consume(Deriver::Update& update, TimePoint t);
 
   /// Synchronization point: brings the published statistics gauges up to
@@ -73,6 +83,8 @@ class MatchEngine {
   /// calls afterwards.
   void Flush();
 
+  /// Observes every match before RETURN projection. The Match is a view
+  /// valid only during the call; call Match::ToOwned() to keep it.
   void SetMatchObserver(MatchCallback observer) {
     match_observer_ = std::move(observer);
   }
@@ -110,7 +122,9 @@ class MatchEngine {
   int64_t shed_trigger_candidates() const;
 
  private:
-  void OnMatch(const Match& match);
+  /// Counts the match, feeds the detection-latency histogram and the
+  /// observer, and projects RETURN into output_event_ for `output_`.
+  void OnMatch(const Match& match) override;
 
   /// Builds the adaptive controller (per Options) and installs the
   /// initial cost-based plan; shared by the constructor and Reset().
@@ -129,6 +143,12 @@ class MatchEngine {
 
   int64_t num_events_ = 0;
   int64_t num_matches_ = 0;
+  // Non-empty Consume() calls, for the stats-publish cadence. Diagnostic
+  // only, so it is not part of the checkpoint.
+  int64_t num_consumes_ = 0;
+  // RETURN projection target, reused across matches (payload capacity is
+  // kept), so emission does not allocate.
+  Event output_event_;
 
   // Observability handles (null when metrics are disabled).
   obs::Counter* events_ctr_ = nullptr;

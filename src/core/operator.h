@@ -65,6 +65,8 @@ class TPStreamOperator {
     robust::OverloadPolicy overload;
   };
 
+  /// Receives each match's RETURN projection. The Event is reused for
+  /// the next match and valid only during the call; copy it to keep it.
   using OutputCallback = std::function<void(const Event&)>;
 
   TPStreamOperator(QuerySpec spec, Options options, OutputCallback output);
@@ -118,7 +120,8 @@ class TPStreamOperator {
   Status Restore(ckpt::Reader& r, uint64_t* offset = nullptr);
 
   /// Optional: observes raw matches (full temporal configurations) in
-  /// addition to the projected output events.
+  /// addition to the projected output events. The Match is a view valid
+  /// only during the call; call Match::ToOwned() to keep it.
   void SetMatchObserver(MatchCallback observer) {
     engine_->SetMatchObserver(std::move(observer));
   }

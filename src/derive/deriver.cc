@@ -16,6 +16,12 @@ Deriver::Deriver(std::vector<SituationDefinition> definitions,
   for (const SituationDefinition& def : defs_) {
     slots_.emplace_back(def.aggregates);
   }
+  // One event starts and finishes at most one situation per definition,
+  // and the payloads recycled from one update refill at most the next;
+  // sized once, these vectors never grow on the per-event path.
+  update_.started.reserve(defs_.size());
+  update_.finished.reserve(defs_.size());
+  spare_payloads_.reserve(2 * defs_.size());
   if (options_.compiled_predicates) {
     if (!options_.simd.empty()) {
       simd::SimdLevel level;
@@ -187,7 +193,7 @@ void Deriver::ApplyDef(int i, const Event& event, bool satisfied) {
       slot.announced = true;
       if (announced_ctr_ != nullptr) announced_ctr_->Inc();
       update_.started.push_back(SymbolSituation{
-          i, Situation(slot.aggs.Snapshot(), slot.ts, kTimeUnknown)});
+          i, Situation(TakePayload(slot), slot.ts, kTimeUnknown)});
     }
   } else if (slot.active) {
     // First non-satisfying event fixes the end timestamp (half-open).
@@ -195,7 +201,7 @@ void Deriver::ApplyDef(int i, const Event& event, bool satisfied) {
     if (def.duration.Contains(te - slot.ts)) {
       if (finished_ctr_ != nullptr) finished_ctr_->Inc();
       update_.finished.push_back(
-          SymbolSituation{i, Situation(slot.aggs.Snapshot(), slot.ts, te)});
+          SymbolSituation{i, Situation(TakePayload(slot), slot.ts, te)});
     } else if (discarded_ctr_ != nullptr) {
       discarded_ctr_->Inc();
     }
@@ -206,9 +212,31 @@ void Deriver::ApplyDef(int i, const Event& event, bool satisfied) {
   }
 }
 
+Tuple Deriver::TakePayload(const Slot& slot) {
+  Tuple payload;
+  if (slot.aggs.size() == 0) return payload;
+  if (!spare_payloads_.empty()) {
+    payload = std::move(spare_payloads_.back());
+    spare_payloads_.pop_back();
+  }
+  slot.aggs.SnapshotInto(&payload);
+  return payload;
+}
+
+void Deriver::RecycleUpdate() {
+  for (std::vector<SymbolSituation>* list :
+       {&update_.started, &update_.finished}) {
+    for (SymbolSituation& ss : *list) {
+      if (ss.situation.payload.capacity() > 0) {
+        spare_payloads_.push_back(std::move(ss.situation.payload));
+      }
+    }
+    list->clear();
+  }
+}
+
 Deriver::Update& Deriver::Process(const Event& event) {
-  update_.started.clear();
-  update_.finished.clear();
+  if (!update_.empty()) RecycleUpdate();  // most events change nothing
   if (events_ctr_ != nullptr) {
     events_ctr_->Inc();
     predicate_evals_ctr_->Inc(static_cast<int64_t>(defs_.size()));

@@ -98,10 +98,12 @@ class Deriver {
     return slots_[symbol].active && slots_[symbol].announced;
   }
 
-  /// Current aggregate snapshot of `symbol`'s ongoing situation. Only
-  /// valid while IsOngoing(symbol).
-  Tuple SnapshotOngoing(int symbol) const {
-    return slots_[symbol].aggs.Snapshot();
+  /// Current value of aggregate `i` of `symbol`'s ongoing situation,
+  /// read without building a snapshot tuple (RETURN projection takes one
+  /// value at a time). Null when `i` is out of range. Only valid while
+  /// IsOngoing(symbol).
+  Value OngoingAggregate(int symbol, int i) const {
+    return slots_[symbol].aggs.Result(i);
   }
 
   int num_definitions() const { return static_cast<int>(defs_.size()); }
@@ -159,12 +161,23 @@ class Deriver {
   void CompilePredicates();
   bool EvalCompiled(int def, const Event& event);
   void ApplyDef(int i, const Event& event, bool satisfied);
+  /// Current aggregates of `slot` as a situation payload, built in a
+  /// recycled tuple when one is spare.
+  Tuple TakePayload(const Slot& slot);
+  /// Moves the payload storage left in the previous update back into
+  /// spare_payloads_, then clears the update.
+  void RecycleUpdate();
 
   std::vector<SituationDefinition> defs_;
   std::vector<Slot> slots_;
   bool announce_starts_;
   DeriveOptions options_;
   Update update_;
+  // Payload tuples handed back by the consumer: the matchers swap a
+  // retired payload into every situation they take (see
+  // SituationBuffer::Append), so aggregate snapshots reuse storage and
+  // steady-state derivation does not allocate.
+  std::vector<Tuple> spare_payloads_;
 
   // Compiled-predicate state (empty in interpreter mode). Definitions
   // with fingerprint-equal predicates share one program: program_of_def_

@@ -127,11 +127,16 @@ Status AggregatorSet::Restore(ckpt::Reader& r) {
 
 Tuple AggregatorSet::Snapshot() const {
   Tuple out;
-  out.reserve(states_.size());
-  for (const AggregateState& state : states_) {
-    out.push_back(state.Result());
-  }
+  SnapshotInto(&out);
   return out;
+}
+
+void AggregatorSet::SnapshotInto(Tuple* out) const {
+  out->clear();
+  out->reserve(states_.size());
+  for (const AggregateState& state : states_) {
+    out->push_back(state.Result());
+  }
 }
 
 }  // namespace tpstream

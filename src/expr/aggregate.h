@@ -89,6 +89,18 @@ class AggregatorSet {
   /// Snapshot of all aggregate values, in spec order.
   Tuple Snapshot() const;
 
+  /// Snapshot() into `out`, reusing its storage.
+  void SnapshotInto(Tuple* out) const;
+
+  /// Current value of aggregate `i` (spec order); Null when out of range.
+  Value Result(int i) const {
+    return i >= 0 && static_cast<size_t>(i) < states_.size()
+               ? states_[i].Result()
+               : Value::Null();
+  }
+
+  size_t size() const { return states_.size(); }
+
   void Checkpoint(ckpt::Writer& w) const;
   Status Restore(ckpt::Reader& r);
 

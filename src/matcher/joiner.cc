@@ -127,20 +127,20 @@ void PatternJoiner::EnforceCap(int symbol) {
 }
 
 void PatternJoiner::Enumerate(std::vector<const Situation*>& working_set,
-                              TimePoint now, const EmitFn& emit,
+                              TimePoint now, MatchSink& sink,
                               MatcherStats* stats) {
   if (probes_ctr_ != nullptr) probes_ctr_->Inc();
   if (step_scratch_.size() < order_.steps().size()) {
     step_scratch_.resize(order_.steps().size());
   }
-  Step(working_set, 0, now, emit, stats);
+  Step(working_set, 0, now, sink, stats);
 }
 
 void PatternJoiner::Step(std::vector<const Situation*>& ws, size_t step_index,
-                         TimePoint now, const EmitFn& emit,
+                         TimePoint now, MatchSink& sink,
                          MatcherStats* stats) {
   if (step_index == order_.steps().size()) {
-    EmitIfWindowOk(ws, now, emit);
+    EmitIfWindowOk(ws, now, sink);
     return;
   }
   const EvalStep& step = order_.steps()[step_index];
@@ -149,7 +149,7 @@ void PatternJoiner::Step(std::vector<const Situation*>& ws, size_t step_index,
     // Algorithm 2, or started situations in Algorithm 4): skip its buffer
     // and verify the applicable constraints directly.
     if (CheckBound(step, ws)) {
-      Step(ws, step_index + 1, now, emit, stats);
+      Step(ws, step_index + 1, now, sink, stats);
     }
     return;
   }
@@ -164,7 +164,7 @@ void PatternJoiner::Step(std::vector<const Situation*>& ws, size_t step_index,
   }
   candidates.ForEach([&](uint32_t idx) {
     ws[step.symbol] = &buf.At(idx);
-    Step(ws, step_index + 1, now, emit, stats);
+    Step(ws, step_index + 1, now, sink, stats);
   });
   ws[step.symbol] = nullptr;
 }
@@ -266,7 +266,7 @@ const IndexRanges& PatternJoiner::FindCandidates(
 }
 
 void PatternJoiner::EmitIfWindowOk(const std::vector<const Situation*>& ws,
-                                   TimePoint now, const EmitFn& emit) const {
+                                   TimePoint now, MatchSink& sink) const {
   TimePoint min_ts = kTimeMax;
   TimePoint max_te = kTimeMin;
   for (const Situation* s : ws) {
@@ -281,16 +281,9 @@ void PatternJoiner::EmitIfWindowOk(const std::vector<const Situation*>& ws,
     return;
   }
   if (full_matches_ctr_ != nullptr) full_matches_ctr_->Inc();
-
-  // The scratch match is reused across emissions; the reference passed to
-  // the callback is only valid during the call (callbacks copy what they
-  // keep).
-  scratch_match_.detected_at = now;
-  if (scratch_match_.config.size() != ws.size()) {
-    scratch_match_.config.resize(ws.size());
-  }
-  for (size_t i = 0; i < ws.size(); ++i) scratch_match_.config[i] = *ws[i];
-  emit(scratch_match_);
+  // A view over the working set: valid only during the call, which is
+  // all the Match contract promises (consumers call ToOwned() to keep).
+  sink.OnMatch(Match{ws, now});
 }
 
 }  // namespace tpstream

@@ -1,7 +1,6 @@
 #ifndef TPSTREAM_MATCHER_JOINER_H_
 #define TPSTREAM_MATCHER_JOINER_H_
 
-#include <functional>
 #include <vector>
 
 #include "algebra/pattern.h"
@@ -25,6 +24,10 @@ namespace tpstream {
 /// a constraint and intersected across constraints (Section 5.2,
 /// Figure 3). Bound entries may be ongoing; every emitted configuration is
 /// *certain* to match (three-valued constraint evaluation).
+///
+/// Emission copies nothing: each match is a Match view over the working
+/// set (pointers into the buffers and the caller's started slots), handed
+/// to a MatchSink and valid only during that call.
 class PatternJoiner {
  public:
   PatternJoiner(const TemporalPattern* pattern, Duration window);
@@ -94,14 +97,13 @@ class PatternJoiner {
   /// Restores from a checkpoint taken on a joiner over the same pattern.
   Status Restore(ckpt::Reader& r);
 
-  using EmitFn = std::function<void(const Match&)>;
-
   /// Enumerates every certain configuration containing all non-null
-  /// entries of `working_set` (pointers indexed by symbol). `now` is the
-  /// current application time, used to close the window condition for
-  /// ongoing entries. Statistics are folded into `stats` when non-null.
+  /// entries of `working_set` (pointers indexed by symbol) and hands each
+  /// to `sink` as a view over `working_set`. `now` is the current
+  /// application time, used to close the window condition for ongoing
+  /// entries. Statistics are folded into `stats` when non-null.
   void Enumerate(std::vector<const Situation*>& working_set, TimePoint now,
-                 const EmitFn& emit, MatcherStats* stats);
+                 MatchSink& sink, MatcherStats* stats);
 
  private:
   /// Reused per evaluation depth (Step recursion level): candidate-set
@@ -114,7 +116,7 @@ class PatternJoiner {
   };
 
   void Step(std::vector<const Situation*>& ws, size_t step_index,
-            TimePoint now, const EmitFn& emit, MatcherStats* stats);
+            TimePoint now, MatchSink& sink, MatcherStats* stats);
 
   /// Checks all constraints of `step` whose other endpoint is bound,
   /// against the bound situation of the step's own symbol.
@@ -132,7 +134,7 @@ class PatternJoiner {
                                     StepScratch& scratch);
 
   void EmitIfWindowOk(const std::vector<const Situation*>& ws, TimePoint now,
-                      const EmitFn& emit) const;
+                      MatchSink& sink) const;
 
   const IndexRanges& FindCandidatesNaive(
       const EvalStep& step, const std::vector<const Situation*>& ws,
@@ -159,9 +161,6 @@ class PatternJoiner {
   obs::Counter* partial_configs_ctr_ = nullptr;
   obs::Counter* full_matches_ctr_ = nullptr;
   obs::Counter* window_rejects_ctr_ = nullptr;
-  // Reused per emission; the Match reference handed to EmitFn is valid
-  // only for the duration of the call.
-  mutable Match scratch_match_;
 };
 
 }  // namespace tpstream

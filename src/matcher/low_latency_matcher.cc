@@ -11,10 +11,10 @@ namespace {
 // Fingerprint of a temporal configuration. Situations within one stream
 // have unique start timestamps, so the sequence of (symbol, ts) pairs
 // identifies a configuration; FNV-1a over the start timestamps suffices.
-uint64_t Fingerprint(const std::vector<Situation>& config) {
+uint64_t Fingerprint(const Match& match) {
   uint64_t h = 1469598103934665603ull;
-  for (const Situation& s : config) {
-    uint64_t x = static_cast<uint64_t>(s.ts);
+  for (const Situation* s : match.situations) {
+    uint64_t x = static_cast<uint64_t>(s->ts);
     for (int i = 0; i < 8; ++i) {
       h ^= (x >> (i * 8)) & 0xff;
       h *= 1099511628211ull;
@@ -27,12 +27,12 @@ uint64_t Fingerprint(const std::vector<Situation>& config) {
 
 LowLatencyMatcher::LowLatencyMatcher(TemporalPattern pattern,
                                      DetectionAnalysis analysis,
-                                     Duration window, MatchCallback callback,
+                                     Duration window, MatchSink* sink,
                                      double stats_alpha)
     : pattern_(std::move(pattern)),
       analysis_(std::move(analysis)),
       window_(window),
-      callback_(std::move(callback)),
+      sink_(sink),
       joiner_(&pattern_, window),
       stats_(pattern_, stats_alpha),
       started_(pattern_.num_symbols()),
@@ -45,7 +45,7 @@ void LowLatencyMatcher::SetEvaluationOrder(
 
 void LowLatencyMatcher::Reset() {
   joiner_.Reset();
-  for (std::optional<Situation>& slot : started_) slot.reset();
+  for (StartedSlot& slot : started_) slot.active = false;
   // The exactly-once guard MUST be dropped with the rest of the stream
   // state: a fingerprint left over from before the reset matches the
   // configuration a replayed stream produces again and would suppress its
@@ -61,9 +61,9 @@ void LowLatencyMatcher::Checkpoint(ckpt::Writer& w) const {
   joiner_.Checkpoint(w);
   stats_.Checkpoint(w);
   w.U32(static_cast<uint32_t>(started_.size()));
-  for (const std::optional<Situation>& slot : started_) {
-    w.Bool(slot.has_value());
-    if (slot.has_value()) w.WriteSituation(*slot);
+  for (const StartedSlot& slot : started_) {
+    w.Bool(slot.active);
+    if (slot.active) w.WriteSituation(slot.situation);
   }
   // The fingerprint table is serialized in sorted order so that two
   // checkpoints of identical state are byte-identical (the
@@ -95,9 +95,9 @@ Status LowLatencyMatcher::Restore(ckpt::Reader& r) {
         "checkpoint: started-slot count mismatch (pattern changed?)"));
     return r.status();
   }
-  for (std::optional<Situation>& slot : started_) {
-    slot.reset();
-    if (r.Bool()) slot = r.ReadSituation();
+  for (StartedSlot& slot : started_) {
+    slot.active = r.Bool();
+    if (slot.active) slot.situation = r.ReadSituation();
   }
   const uint64_t num_emitted = r.U64();
   if (num_emitted > r.remaining() / 16) {
@@ -142,7 +142,7 @@ void LowLatencyMatcher::Consume(std::vector<SymbolSituation>& started,
   // that simultaneously ending counterparts (equals / finishes /
   // finished-by) are visible in the regular buffers.
   for (SymbolSituation& ss : finished) {
-    started_[ss.symbol].reset();
+    started_[ss.symbol].active = false;
     joiner_.buffer(ss.symbol).Append(std::move(ss.situation));
     // Overload cap: evict oldest situations; the one just appended is the
     // newest and always survives (cap >= 1), so Back() below stays valid.
@@ -165,9 +165,15 @@ void LowLatencyMatcher::Consume(std::vector<SymbolSituation>& started,
   // trigger at the *start* of the later situation and find the ended
   // counterpart in its buffer.
   for (SymbolSituation& ss : started) {
-    started_[ss.symbol] = std::move(ss.situation);
+    // Swap rather than move-assign: the input element takes the slot's
+    // retired payload back to the deriver, which reuses its storage.
+    StartedSlot& slot = started_[ss.symbol];
+    slot.situation.payload.swap(ss.situation.payload);
+    slot.situation.ts = ss.situation.ts;
+    slot.situation.te = ss.situation.te;
+    slot.active = true;
     if (!analysis_.match_on_start(ss.symbol)) continue;
-    Trigger(ss.symbol, *started_[ss.symbol], /*allow_bare=*/true, now);
+    Trigger(ss.symbol, slot.situation, /*allow_bare=*/true, now);
   }
 
   for (int s = 0; s < pattern_.num_symbols(); ++s) {
@@ -196,13 +202,14 @@ void LowLatencyMatcher::Trigger(int symbol, const Situation& situation,
   // trigger), and impossible ones never will.
   pool_.clear();
   for (int j = 0; j < pattern_.num_symbols(); ++j) {
-    if (j == symbol || !started_[j].has_value()) continue;
-    if (started_[j]->ts < now - window_) continue;  // window purge
+    if (j == symbol || !started_[j].active) continue;
+    const Situation& ongoing = started_[j].situation;
+    if (ongoing.ts < now - window_) continue;  // window purge
     const int ci = pattern_.ConstraintIndex(symbol, j);
     if (ci >= 0) {
       const TemporalConstraint& c = pattern_.constraints()[ci];
-      const Situation& sa = (c.a == symbol) ? situation : *started_[j];
-      const Situation& sb = (c.a == symbol) ? *started_[j] : situation;
+      const Situation& sa = (c.a == symbol) ? situation : ongoing;
+      const Situation& sb = (c.a == symbol) ? ongoing : situation;
       if (c.Check(sa, sb) != Certainty::kCertain) continue;
     }
     pool_.push_back(j);
@@ -218,7 +225,7 @@ void LowLatencyMatcher::Trigger(int symbol, const Situation& situation,
     const int64_t excess =
         static_cast<int64_t>(pool_.size() - max_trigger_pool_);
     std::sort(pool_.begin(), pool_.end(), [this](int a, int b) {
-      return started_[a]->ts > started_[b]->ts;
+      return started_[a].situation.ts > started_[b].situation.ts;
     });
     pool_.resize(max_trigger_pool_);
     std::sort(pool_.begin(), pool_.end());
@@ -233,31 +240,30 @@ void LowLatencyMatcher::Trigger(int symbol, const Situation& situation,
     working_set_[symbol] = &situation;
     for (size_t i = 0; i < pool_.size(); ++i) {
       if (mask & (size_t{1} << i)) {
-        working_set_[pool_[i]] = &*started_[pool_[i]];
+        working_set_[pool_[i]] = &started_[pool_[i]].situation;
       }
     }
-    joiner_.Enumerate(
-        working_set_, now, [this](const Match& m) { Emit(m); }, &stats_);
+    joiner_.Enumerate(working_set_, now, *this, &stats_);
   }
 }
 
-void LowLatencyMatcher::Emit(const Match& match) {
+void LowLatencyMatcher::OnMatch(const Match& match) {
   // When the detection analysis proves exactly-once delivery, skip the
   // fingerprint table entirely — it dominates per-match cost on
   // match-heavy patterns.
   if (analysis_.needs_dedup()) {
     TimePoint min_ts = kTimeMax;
-    for (const Situation& s : match.config) {
-      if (s.ts < min_ts) min_ts = s.ts;
+    for (const Situation* s : match.situations) {
+      if (s->ts < min_ts) min_ts = s->ts;
     }
-    const uint64_t fp = Fingerprint(match.config);
+    const uint64_t fp = Fingerprint(match);
     auto [it, inserted] = emitted_.emplace(fp, min_ts);
     if (!inserted) {
       if (dedup_hits_ctr_ != nullptr) dedup_hits_ctr_->Inc();
       return;
     }
   }
-  callback_(match);
+  sink_->OnMatch(match);
 }
 
 }  // namespace tpstream

@@ -1,7 +1,6 @@
 #ifndef TPSTREAM_MATCHER_LOW_LATENCY_MATCHER_H_
 #define TPSTREAM_MATCHER_LOW_LATENCY_MATCHER_H_
 
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -35,10 +34,14 @@ namespace tpstream {
 ///    paper's case analysis;
 ///  - the window condition for configurations containing ongoing
 ///    situations is evaluated against the current time.
-class LowLatencyMatcher {
+///
+/// The matcher is itself the join core's MatchSink: its OnMatch is the
+/// exactly-once step, which forwards surviving matches to `sink` (one
+/// virtual call, no copy). `sink` must outlive the matcher.
+class LowLatencyMatcher : private MatchSink {
  public:
   LowLatencyMatcher(TemporalPattern pattern, DetectionAnalysis analysis,
-                    Duration window, MatchCallback callback,
+                    Duration window, MatchSink* sink,
                     double stats_alpha = 0.01);
 
   void SetEvaluationOrder(const std::vector<int>& permutation);
@@ -108,18 +111,26 @@ class LowLatencyMatcher {
   void Trigger(int symbol, const Situation& situation, bool allow_bare,
                TimePoint now);
 
-  void Emit(const Match& match);
+  /// Exactly-once step between the join core and `sink_`.
+  void OnMatch(const Match& match) override;
+
+  /// Ongoing situation of one symbol (at most one: situations of a
+  /// stream are disjoint). The payload is the aggregate snapshot at
+  /// announcement. The slot keeps its payload storage while inactive, so
+  /// a new announcement swaps tuples instead of allocating.
+  struct StartedSlot {
+    Situation situation;
+    bool active = false;
+  };
 
   TemporalPattern pattern_;
   DetectionAnalysis analysis_;
   Duration window_;
-  MatchCallback callback_;
+  MatchSink* sink_;
   PatternJoiner joiner_;
   MatcherStats stats_;
 
-  /// Ongoing situation per symbol (at most one: situations of a stream
-  /// are disjoint). The payload is the aggregate snapshot at announcement.
-  std::vector<std::optional<Situation>> started_;
+  std::vector<StartedSlot> started_;
 
   std::vector<const Situation*> working_set_;
   std::vector<int> pool_;  // scratch: candidate started symbols per trigger

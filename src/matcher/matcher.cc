@@ -2,11 +2,11 @@
 
 namespace tpstream {
 
-Matcher::Matcher(TemporalPattern pattern, Duration window,
-                 MatchCallback callback, double stats_alpha)
+Matcher::Matcher(TemporalPattern pattern, Duration window, MatchSink* sink,
+                 double stats_alpha)
     : pattern_(std::move(pattern)),
       window_(window),
-      callback_(std::move(callback)),
+      sink_(sink),
       joiner_(&pattern_, window),
       stats_(pattern_, stats_alpha),
       working_set_(pattern_.num_symbols(), nullptr) {}
@@ -55,7 +55,7 @@ void Matcher::Consume(std::vector<SymbolSituation>& finished, TimePoint now) {
     // yields incremental, exactly-once results (Algorithm 2).
     working_set_.assign(working_set_.size(), nullptr);
     working_set_[ss.symbol] = &buf.Back();
-    joiner_.Enumerate(working_set_, now, callback_, &stats_);
+    joiner_.Enumerate(working_set_, now, *sink_, &stats_);
   }
 
   for (int s = 0; s < pattern_.num_symbols(); ++s) {

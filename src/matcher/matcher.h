@@ -16,9 +16,12 @@ namespace tpstream {
 /// The baseline matcher component (Algorithms 2 and 3): consumes finished
 /// situations ordered by end timestamp and reports every matching temporal
 /// configuration exactly once, at the end timestamp of its last situation.
+///
+/// Matches go straight from the join core to `sink`, which must outlive
+/// the matcher.
 class Matcher {
  public:
-  Matcher(TemporalPattern pattern, Duration window, MatchCallback callback,
+  Matcher(TemporalPattern pattern, Duration window, MatchSink* sink,
           double stats_alpha = 0.01);
 
   /// Installs a new evaluation order. The matcher keeps no intermediate
@@ -79,7 +82,7 @@ class Matcher {
  private:
   TemporalPattern pattern_;
   Duration window_;
-  MatchCallback callback_;
+  MatchSink* sink_;
   PatternJoiner joiner_;
   MatcherStats stats_;
   std::vector<const Situation*> working_set_;

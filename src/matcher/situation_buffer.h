@@ -33,11 +33,16 @@ class SituationBuffer {
   }
 
   /// Move-in variant for the allocation-free ingest path: the situation's
-  /// payload tuple changes owner instead of being copied.
+  /// payload tuple changes owner instead of being copied, and `s` takes
+  /// the slot's retired payload in exchange (its storage goes back to the
+  /// producer for reuse instead of being freed).
   void Append(Situation&& s) {
     assert(size_ == 0 || (s.ts >= Back().te));
     if (size_ == data_.size()) Grow();
-    data_[(head_ + size_) % data_.size()] = std::move(s);
+    Situation& slot = data_[(head_ + size_) % data_.size()];
+    slot.payload.swap(s.payload);
+    slot.ts = s.ts;
+    slot.te = s.te;
     ++size_;
   }
 

@@ -28,7 +28,7 @@ TEST(IseqMatcherTest, AgreesWithBruteForce) {
 
     std::map<ConfigKey, TimePoint> got;
     IseqMatcher matcher(pattern, window, [&](const Match& m) {
-      got.emplace(KeyOf(m.config), m.detected_at);
+      got.emplace(KeyOf(m), m.detected_at);
     });
     for (const auto& [te, batch] : BatchByEnd(streams)) {
       matcher.Update(batch, te);
@@ -51,9 +51,9 @@ TEST(IseqOperatorTest, DerivesAndMatchesFromPointEvents) {
       SituationDefinition("A", FieldRef(0, "a")),
       SituationDefinition("B", FieldRef(1, "b")),
   };
-  std::vector<Match> matches;
+  std::vector<OwnedMatch> matches;
   IseqOperator op(defs, p, 100,
-                  [&](const Match& m) { matches.push_back(m); });
+                  [&](const Match& m) { matches.push_back(m.ToOwned()); });
 
   // a: true on [2,6), b: true on [4,9).
   for (TimePoint t = 1; t <= 12; ++t) {
@@ -112,7 +112,7 @@ TEST(TwoPhaseMatcherTest, AgreesWithBruteForceOnDerivedSituations) {
     std::map<ConfigKey, TimePoint> got;
     int duplicates = 0;
     TwoPhaseMatcher matcher(defs, pattern, window, [&](const Match& m) {
-      auto [it, inserted] = got.emplace(KeyOf(m.config), m.detected_at);
+      auto [it, inserted] = got.emplace(KeyOf(m), m.detected_at);
       if (!inserted) ++duplicates;
     });
     for (const Event& e : ToBooleanTrace(streams, kHorizon)) {

@@ -185,8 +185,8 @@ TEST(ChaosTest, TriggerPoolCapShedsOldestCandidates) {
   auto run = [&](size_t pool_cap) {
     obs::MetricsRegistry registry;
     int64_t matches = 0;
-    LowLatencyMatcher matcher(pattern, analysis, kHugeWindow,
-                              [&](const Match&) { ++matches; });
+    CallbackSink sink([&](const Match&) { ++matches; });
+    LowLatencyMatcher matcher(pattern, analysis, kHugeWindow, &sink);
     matcher.EnableMetrics(&registry);
     robust::OverloadPolicy policy;
     policy.max_trigger_pool = pool_cap;
@@ -211,8 +211,8 @@ TEST(ChaosTest, TriggerPoolCapShedsOldestCandidates) {
 
   // The metric mirrors the accessor.
   obs::MetricsRegistry registry;
-  LowLatencyMatcher matcher(pattern, analysis, kHugeWindow,
-                            [](const Match&) {});
+  CallbackSink sink([](const Match&) {});
+  LowLatencyMatcher matcher(pattern, analysis, kHugeWindow, &sink);
   matcher.EnableMetrics(&registry);
   robust::OverloadPolicy policy;
   policy.max_trigger_pool = 1;

@@ -160,10 +160,10 @@ TEST(DeriverTest, AggregatesOverSituationEvents) {
 
   deriver.Process(Event({Value(true), Value(10.0)}, 1));
   deriver.Process(Event({Value(true), Value(20.0)}, 2));
-  const Tuple snapshot = deriver.SnapshotOngoing(0);
-  EXPECT_DOUBLE_EQ(snapshot[0].ToDouble(), 15.0);
-  EXPECT_DOUBLE_EQ(snapshot[1].ToDouble(), 20.0);
-  EXPECT_EQ(snapshot[2].AsInt(), 2);
+  EXPECT_DOUBLE_EQ(deriver.OngoingAggregate(0, 0).ToDouble(), 15.0);
+  EXPECT_DOUBLE_EQ(deriver.OngoingAggregate(0, 1).ToDouble(), 20.0);
+  EXPECT_EQ(deriver.OngoingAggregate(0, 2).AsInt(), 2);
+  EXPECT_TRUE(deriver.OngoingAggregate(0, 3).is_null());
 
   deriver.Process(Event({Value(true), Value(60.0)}, 3));
   const auto& end = deriver.Process(Event({Value(false), Value(0.0)}, 4));

@@ -30,9 +30,10 @@ TEST(EdgeCaseTest, DisconnectedPatternFallsBackToCrossProduct) {
       {Sit(2, 5), Sit(11, 13)},
   };
   std::map<ConfigKey, TimePoint> got;
-  Matcher matcher(p, 100, [&](const Match& m) {
-    got.emplace(KeyOf(m.config), m.detected_at);
+  CallbackSink sink([&](const Match& m) {
+    got.emplace(KeyOf(m), m.detected_at);
   });
+  Matcher matcher(p, 100, &sink);
   for (const auto& [te, batch] : BatchByEnd(streams)) {
     matcher.Update(batch, te);
   }
@@ -143,7 +144,8 @@ TEST(EdgeCaseTest, MeetsAdjacencyAcrossStreams) {
     TemporalPattern p({"A", "B"});
     ASSERT_TRUE(p.AddRelation(0, relation, 1).ok());
     size_t count = 0;
-    Matcher matcher(p, 100, [&](const Match&) { ++count; });
+    CallbackSink sink([&](const Match&) { ++count; });
+    Matcher matcher(p, 100, &sink);
     for (const auto& [te, batch] : BatchByEnd(streams)) {
       matcher.Update(batch, te);
     }
@@ -156,9 +158,10 @@ TEST(EdgeCaseTest, ZeroLengthWindowsAndTinySituations) {
   TemporalPattern p({"A", "B"});
   ASSERT_TRUE(p.AddRelation(0, Relation::kBefore, 1).ok());
   std::map<ConfigKey, TimePoint> got;
-  Matcher matcher(p, 3, [&](const Match& m) {
-    got.emplace(KeyOf(m.config), m.detected_at);
+  CallbackSink sink([&](const Match& m) {
+    got.emplace(KeyOf(m), m.detected_at);
   });
+  Matcher matcher(p, 3, &sink);
   matcher.Update({{0, Sit(1, 2)}}, 2);
   matcher.Update({{1, Sit(3, 4)}}, 4);  // span 3 == window: kept
   matcher.Update({{1, Sit(5, 6)}}, 6);  // span 5 > window for A@1

@@ -79,6 +79,40 @@ TEST(FlushLifecycleTest, OperatorFlushOnEmptyAndDoubleFlush) {
   EXPECT_EQ(once.gauges.count("matcher.buffer_ema.s0"), 1u);
 }
 
+// The statistics gauges refresh every reopt_interval-th consume, not
+// only at Flush(). Here consumes are 4 per 400 events (ratio 1/100, below
+// 1/64) and all land on odd event counts, so a cadence keyed on the
+// event count (num_events % 64 == 0 at a consume) would never publish.
+TEST(FlushLifecycleTest, StatsGaugesRefreshBeforeFlushOnSparseConsumes) {
+  obs::MetricsRegistry metrics;
+  TPStreamOperator::Options options;
+  options.metrics = &metrics;
+  options.reopt_interval = 64;
+  QueryBuilder qb(TwoBoolSchema());
+  qb.Define("A", FieldRef(0, "a"))
+      .Define("B", FieldRef(1, "b"))
+      .Relate("A", Relation::kOverlaps, "B")
+      .Within(1000);
+  auto spec = qb.Build();
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  TPStreamOperator op(spec.value(), options, nullptr);
+
+  // Per 400-event period: A holds on [1, 101), B on [51, 151); the four
+  // situation changes fall on event counts 1, 51, 101 and 151 mod 400.
+  const auto gauge = [&] {
+    return metrics.Snapshot().gauges.at("matcher.buffer_ema.s0");
+  };
+  const double initial = gauge();
+  for (TimePoint t = 1; t <= 8000; ++t) {
+    const TimePoint phase = (t - 1) % 400;
+    op.Push(Event({Value(phase < 100), Value(phase >= 50 && phase < 150)},
+                  t));
+  }
+  EXPECT_GT(op.num_matches(), 0);
+  // 80 consumes so far: the 64th published, no Flush() needed.
+  EXPECT_NE(gauge(), initial);
+}
+
 TEST(FlushLifecycleTest, OperatorPushAfterFlushKeepsDetecting) {
   std::vector<Event> outputs;
   TPStreamOperator op(OverlapSpec(), {},

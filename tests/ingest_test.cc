@@ -3,7 +3,9 @@
 //  1. Steady-state sequential ingestion performs ZERO heap allocations
 //     per event (counting global operator new, in the style of
 //     partition_hash_test.cc) when the static analysis proves
-//     exactly-once delivery and no aggregates/metrics are attached.
+//     exactly-once delivery and no metrics are attached — also with an
+//     output callback, a match observer and a RETURN aggregate over a
+//     still-ongoing situation.
 //  2. PushBatch() is differentially equivalent to per-event Push() for
 //     the sequential, partitioned, and parallel (1/2/4 workers)
 //     operators: identical matches and identical event/match counters.
@@ -112,6 +114,82 @@ TEST(IngestAllocationTest, SteadyStateSequentialIngestIsAllocationFree) {
     // The measurement window must actually exercise the matcher.
     EXPECT_GT(op.num_matches(), matches_before);
   }
+}
+
+/// The synth_dense shape over three boolean streams: `A before B AND B
+/// overlaps C` with `RETURN count(C.s2)`. In low-latency mode the match
+/// concludes when C starts, so the RETURN aggregate is read from a
+/// situation that is still being derived.
+QuerySpec OngoingAggregateSpec() {
+  Schema schema({Field{"s0", ValueType::kBool}, Field{"s1", ValueType::kBool},
+                 Field{"s2", ValueType::kBool}});
+  QueryBuilder qb(schema);
+  qb.Define("A", FieldRef(0, "s0"))
+      .Define("B", FieldRef(1, "s1"))
+      .Define("C", FieldRef(2, "s2"))
+      .Relate("A", Relation::kBefore, "B")
+      .Relate("B", Relation::kOverlaps, "C")
+      .Within(2000)
+      .Return("nc", "C", AggKind::kCount, "s2");
+  auto spec = qb.Build();
+  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+  return spec.value();
+}
+
+// The emission path itself: output callback, match observer and a RETURN
+// aggregate over an ongoing situation all run, and still nothing
+// allocates (the Match is a view, RETURN is projected into a reused
+// Event, situation payloads are recycled between deriver and matcher).
+TEST(IngestAllocationTest, SteadyStateEmissionIsAllocationFree) {
+  const QuerySpec spec = OngoingAggregateSpec();
+  {
+    DetectionAnalysis analysis(
+        spec.pattern,
+        std::vector<DurationConstraint>(spec.pattern.num_symbols()));
+    ASSERT_FALSE(analysis.needs_dedup());
+  }
+
+  TPStreamOperator::Options options;
+  options.low_latency = true;
+  options.adaptive = false;  // controller re-optimization allocates
+  int64_t outputs = 0;
+  int64_t count_sum = 0;
+  TPStreamOperator op(spec, options, [&](const Event& e) {
+    ++outputs;
+    count_sum += e.payload[0].AsInt();
+  });
+  int64_t observed = 0;
+  int64_t ongoing_c = 0;
+  op.SetMatchObserver([&](const Match& m) {
+    ++observed;
+    if (m[2].ongoing()) ++ongoing_c;
+  });
+
+  SyntheticGenerator gen({.num_streams = 3, .seed = 9});
+  Event scratch;
+  for (int i = 0; i < 20000; ++i) {
+    gen.Next(&scratch);
+    op.Push(scratch);
+  }
+
+  const int64_t matches_before = op.num_matches();
+  const int64_t ongoing_before = ongoing_c;
+  const size_t before = g_allocation_count.load(std::memory_order_relaxed);
+  for (int i = 0; i < 20000; ++i) {
+    gen.Next(&scratch);
+    op.Push(scratch);
+  }
+  const size_t after = g_allocation_count.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(after, before) << "emission allocated on the hot path ("
+                           << (after - before)
+                           << " allocations / 20000 events)";
+  EXPECT_GT(op.num_matches(), matches_before);
+  // The RETURN aggregate was read from ongoing C situations.
+  EXPECT_GT(ongoing_c, ongoing_before);
+  EXPECT_EQ(outputs, op.num_matches());
+  EXPECT_EQ(observed, op.num_matches());
+  EXPECT_GT(count_sum, 0);
 }
 
 /// Integer-keyed partitioned query with aggregates: the differential

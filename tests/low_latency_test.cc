@@ -28,11 +28,12 @@ LlResult RunLowLatency(const TemporalPattern& pattern, Duration window,
   LlResult result;
   DetectionAnalysis analysis(
       pattern, std::vector<DurationConstraint>(pattern.num_symbols()));
-  LowLatencyMatcher matcher(pattern, analysis, window, [&](const Match& m) {
+  CallbackSink sink([&](const Match& m) {
     auto [it, inserted] =
-        result.detections.emplace(KeyOf(m.config), m.detected_at);
+        result.detections.emplace(KeyOf(m), m.detected_at);
     if (!inserted) ++result.duplicates;
   });
+  LowLatencyMatcher matcher(pattern, analysis, window, &sink);
   const Timeline tl = BuildTimeline(streams);
   for (TimePoint t : tl.instants) {
     const auto s_it = tl.started.find(t);
@@ -99,12 +100,11 @@ TEST(LowLatencyMatcherTest, DetectionTimeEqualsAnalyticTd) {
     std::map<ConfigKey, TimePoint> detections;
     DetectionAnalysis analysis(pattern,
                                std::vector<DurationConstraint>(n));
-    LowLatencyMatcher matcher(pattern, analysis, /*window=*/1000,
-                              [&](const Match& m) {
-                                configs.emplace(KeyOf(m.config), m.config);
-                                detections.emplace(KeyOf(m.config),
-                                                   m.detected_at);
-                              });
+    CallbackSink sink([&](const Match& m) {
+      configs.emplace(KeyOf(m), m.ToOwned().config);
+      detections.emplace(KeyOf(m), m.detected_at);
+    });
+    LowLatencyMatcher matcher(pattern, analysis, /*window=*/1000, &sink);
     const Timeline tl = BuildTimeline(streams);
     for (TimePoint t : tl.instants) {
       const auto s_it = tl.started.find(t);

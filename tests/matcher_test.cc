@@ -1,6 +1,8 @@
 #include "matcher/matcher.h"
 
+#include <map>
 #include <random>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -24,10 +26,11 @@ std::map<ConfigKey, TimePoint> RunMatcher(
     const std::vector<std::vector<Situation>>& streams,
     int* duplicates = nullptr) {
   std::map<ConfigKey, TimePoint> out;
-  Matcher matcher(pattern, window, [&](const Match& m) {
-    auto [it, inserted] = out.emplace(KeyOf(m.config), m.detected_at);
+  CallbackSink sink([&](const Match& m) {
+    auto [it, inserted] = out.emplace(KeyOf(m), m.detected_at);
     if (!inserted && duplicates != nullptr) ++*duplicates;
   });
+  Matcher matcher(pattern, window, &sink);
   for (const auto& [te, batch] : BatchByEnd(streams)) {
     matcher.Update(batch, te);
   }
@@ -37,8 +40,9 @@ std::map<ConfigKey, TimePoint> RunMatcher(
 TEST(MatcherTest, SimpleBeforePattern) {
   TemporalPattern p({"A", "B"});
   ASSERT_TRUE(p.AddRelation(0, Relation::kBefore, 1).ok());
-  std::vector<Match> matches;
-  Matcher matcher(p, 100, [&](const Match& m) { matches.push_back(m); });
+  std::vector<OwnedMatch> matches;
+  CallbackSink sink([&](const Match& m) { matches.push_back(m.ToOwned()); });
+  Matcher matcher(p, 100, &sink);
 
   matcher.Update({{0, Sit(1, 5)}}, 5);
   EXPECT_TRUE(matches.empty());
@@ -49,11 +53,56 @@ TEST(MatcherTest, SimpleBeforePattern) {
   EXPECT_EQ(matches[0].detected_at, 12);
 }
 
+// Matches are views into the matcher's buffers, which are purged and
+// recycled as the stream advances; owned copies taken in the callback
+// must still describe the emitted configurations after many later
+// updates. Situations carry distinct payloads and go in through the
+// move path, so recycled buffer slots really change content.
+TEST(MatcherTest, OwnedCopiesSurviveLaterUpdates) {
+  std::mt19937_64 rng(35);
+  for (int trial = 0; trial < 20; ++trial) {
+    const TemporalPattern pattern = RandomPattern(rng, 3);
+    const Duration window = 40;
+    std::vector<std::vector<Situation>> streams(3);
+    std::map<std::pair<int, TimePoint>, Situation> by_start;
+    for (int sym = 0; sym < 3; ++sym) {
+      streams[sym] = RandomStream(rng, 600);
+      for (Situation& s : streams[sym]) {
+        s.payload = {Value(static_cast<int64_t>(s.ts * 10 + sym)),
+                     Value(static_cast<double>(s.te))};
+        by_start[{sym, s.ts}] = s;
+      }
+    }
+
+    std::vector<OwnedMatch> kept;
+    CallbackSink sink([&](const Match& m) { kept.push_back(m.ToOwned()); });
+    Matcher matcher(pattern, window, &sink);
+    for (const auto& [te, batch] : BatchByEnd(streams)) {
+      std::vector<SymbolSituation> moved = batch;
+      matcher.Consume(moved, te);
+    }
+
+    const auto expected = BruteForceMatches(pattern, window, streams);
+    ASSERT_EQ(kept.size(), expected.size()) << pattern.ToString();
+    for (const OwnedMatch& m : kept) {
+      const auto it = expected.find(KeyOf(m.config));
+      ASSERT_NE(it, expected.end());
+      EXPECT_EQ(m.detected_at, it->second);
+      for (int sym = 0; sym < 3; ++sym) {
+        const Situation& want = by_start.at({sym, m.config[sym].ts});
+        EXPECT_EQ(m.config[sym].te, want.te);
+        EXPECT_EQ(m.config[sym].payload, want.payload);
+      }
+    }
+  }
+}
+
 TEST(MatcherTest, WindowExcludesWideConfigurations) {
   TemporalPattern p({"A", "B"});
   ASSERT_TRUE(p.AddRelation(0, Relation::kBefore, 1).ok());
-  std::vector<Match> matches;
-  Matcher matcher(p, 10, [&](const Match& m) { matches.push_back(m); });
+  std::vector<OwnedMatch> matches;
+  CallbackSink sink([&](const Match& m) { matches.push_back(m.ToOwned()); });
+  Matcher matcher(p, 10, &sink);
 
   matcher.Update({{0, Sit(1, 3)}}, 3);
   matcher.Update({{1, Sit(20, 25)}}, 25);  // span 24 > 10
@@ -101,8 +150,8 @@ TEST(MatcherTest, EvaluationOrderDoesNotChangeResults) {
   std::vector<std::map<ConfigKey, TimePoint>> results;
   for (const auto& order : orders) {
     std::map<ConfigKey, TimePoint> out;
-    Matcher matcher(pattern, 50,
-                    [&](const Match& m) { out.emplace(KeyOf(m.config), 0); });
+    CallbackSink sink([&](const Match& m) { out.emplace(KeyOf(m), 0); });
+    Matcher matcher(pattern, 50, &sink);
     matcher.SetEvaluationOrder(order);
     for (const auto& [te, batch] : BatchByEnd(streams)) {
       matcher.Update(batch, te);
@@ -121,9 +170,10 @@ TEST(MatcherTest, MidStreamOrderMigrationIsSeamless) {
   for (auto& s : streams) s = RandomStream(rng, 400);
 
   std::map<ConfigKey, TimePoint> migrated;
-  Matcher matcher(pattern, 60, [&](const Match& m) {
-    migrated.emplace(KeyOf(m.config), m.detected_at);
+  CallbackSink sink([&](const Match& m) {
+    migrated.emplace(KeyOf(m), m.detected_at);
   });
+  Matcher matcher(pattern, 60, &sink);
   int updates = 0;
   for (const auto& [te, batch] : BatchByEnd(streams)) {
     if (++updates % 7 == 0) {
@@ -150,9 +200,10 @@ TEST(MatcherTest, NaiveScanAblationProducesIdenticalMatches) {
     std::map<ConfigKey, TimePoint> naive;
     for (const bool use_naive : {false, true}) {
       auto& out = use_naive ? naive : fast;
-      Matcher matcher(pattern, 80, [&](const Match& m) {
-        out.emplace(KeyOf(m.config), m.detected_at);
+      CallbackSink sink([&](const Match& m) {
+        out.emplace(KeyOf(m), m.detected_at);
       });
+      Matcher matcher(pattern, 80, &sink);
       matcher.SetNaiveScan(use_naive);
       for (const auto& [te, batch] : BatchByEnd(streams)) {
         matcher.Update(batch, te);
@@ -168,7 +219,8 @@ TEST(MatcherTest, SelectivityStatsConvergeToObservations) {
   // observed value.
   TemporalPattern p({"A", "B"});
   ASSERT_TRUE(p.AddRelation(0, Relation::kBefore, 1).ok());
-  Matcher matcher(p, 1000, [](const Match&) {}, /*stats_alpha=*/0.5);
+  CallbackSink sink([](const Match&) {});
+  Matcher matcher(p, 1000, &sink, /*stats_alpha=*/0.5);
 
   TimePoint t = 0;
   for (int i = 0; i < 50; ++i) {

@@ -45,9 +45,10 @@ TEST_P(RelationSweep, BothMatchersAgreeWithBruteForce) {
 
     // Baseline matcher.
     std::map<ConfigKey, TimePoint> baseline;
-    Matcher matcher(pattern, window, [&](const Match& m) {
-      baseline.emplace(KeyOf(m.config), m.detected_at);
+    CallbackSink sink([&](const Match& m) {
+      baseline.emplace(KeyOf(m), m.detected_at);
     });
+    Matcher matcher(pattern, window, &sink);
     for (const auto& [te, batch] : BatchByEnd(streams)) {
       matcher.Update(batch, te);
     }
@@ -57,9 +58,10 @@ TEST_P(RelationSweep, BothMatchersAgreeWithBruteForce) {
     std::map<ConfigKey, TimePoint> low_latency;
     DetectionAnalysis analysis(pattern,
                                std::vector<DurationConstraint>(2));
-    LowLatencyMatcher ll(pattern, analysis, window, [&](const Match& m) {
-      low_latency.emplace(KeyOf(m.config), m.detected_at);
+    CallbackSink ll_sink([&](const Match& m) {
+      low_latency.emplace(KeyOf(m), m.detected_at);
     });
+    LowLatencyMatcher ll(pattern, analysis, window, &ll_sink);
     const Timeline tl = BuildTimeline(streams);
     for (TimePoint t : tl.instants) {
       static const std::vector<SymbolSituation> kNone;
@@ -115,9 +117,10 @@ TEST_P(AlternativeGrowthSweep, MoreAlternativesNeverLoseMatches) {
     const auto matches = BruteForceMatches(pattern, 1000, streams);
 
     std::map<ConfigKey, TimePoint> got;
-    Matcher matcher(pattern, 1000, [&](const Match& m) {
-      got.emplace(KeyOf(m.config), m.detected_at);
+    CallbackSink sink([&](const Match& m) {
+      got.emplace(KeyOf(m), m.detected_at);
     });
+    Matcher matcher(pattern, 1000, &sink);
     for (const auto& [te, batch] : BatchByEnd(streams)) {
       matcher.Update(batch, te);
     }
@@ -149,9 +152,10 @@ TEST_P(WindowSweep, BaselineMatcherRespectsWindow) {
     for (auto& s : streams) s = RandomStream(rng, 500);
 
     std::map<ConfigKey, TimePoint> got;
-    Matcher matcher(pattern, window, [&](const Match& m) {
-      got.emplace(KeyOf(m.config), m.detected_at);
+    CallbackSink sink([&](const Match& m) {
+      got.emplace(KeyOf(m), m.detected_at);
     });
+    Matcher matcher(pattern, window, &sink);
     for (const auto& [te, batch] : BatchByEnd(streams)) {
       matcher.Update(batch, te);
     }
@@ -219,9 +223,9 @@ TEST_P(DurationSweep, LowLatencyAgreesWithBaselineOperator) {
     std::set<ConfigKey> base_keys;
     std::set<ConfigKey> ll_keys;
     baseline->SetMatchObserver(
-        [&](const Match& m) { base_keys.insert(KeyOf(m.config)); });
+        [&](const Match& m) { base_keys.insert(KeyOf(m)); });
     low_latency->SetMatchObserver(
-        [&](const Match& m) { ll_keys.insert(KeyOf(m.config)); });
+        [&](const Match& m) { ll_keys.insert(KeyOf(m)); });
 
     bool va = false;
     bool vb = false;
@@ -290,7 +294,7 @@ TEST_P(OperatorModeSweep, MatchCountIndependentOfStrategy) {
     TPStreamOperator op(spec.value(), options, nullptr);
     std::set<ConfigKey> keys;
     op.SetMatchObserver(
-        [&](const Match& m) { keys.insert(KeyOf(m.config)); });
+        [&](const Match& m) { keys.insert(KeyOf(m)); });
     std::mt19937_64 rng(777);  // identical workload for every mode
     bool va = false, vb = false, vc = false;
     std::bernoulli_distribution flip(0.1);

@@ -9,6 +9,7 @@
 
 #include "algebra/pattern.h"
 #include "common/situation.h"
+#include "matcher/match.h"
 
 namespace tpstream {
 namespace testing {
@@ -24,6 +25,13 @@ inline ConfigKey KeyOf(const std::vector<Situation>& config) {
   ConfigKey key;
   key.reserve(config.size());
   for (const Situation& s : config) key.push_back(s.ts);
+  return key;
+}
+
+inline ConfigKey KeyOf(const Match& match) {
+  ConfigKey key;
+  key.reserve(match.size());
+  for (const Situation* s : match.situations) key.push_back(s->ts);
   return key;
 }
 
