@@ -3,6 +3,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/event.h"
 #include "common/time.h"
@@ -41,6 +42,40 @@ struct Situation {
 struct SymbolSituation {
   int symbol = 0;
   Situation situation;
+};
+
+/// Spare situation payload storage for an allocation-free update loop.
+/// A producer builds each outgoing payload in a tuple taken from the
+/// pool; the consumer (SituationBuffer::Append and the low-latency
+/// matcher's started slots) swaps a retired payload back into the
+/// situation it takes, and the producer reclaims those before it builds
+/// the next update. The pool only ever holds tuples that came back from
+/// its own updates, so it stays within the largest update's size.
+class PayloadPool {
+ public:
+  void Reserve(size_t n) { spare_.reserve(n); }
+
+  /// Moves every payload that owns storage out of `list` into the pool,
+  /// then clears `list`.
+  void Reclaim(std::vector<SymbolSituation>* list) {
+    for (SymbolSituation& ss : *list) {
+      if (ss.situation.payload.capacity() > 0) {
+        spare_.push_back(std::move(ss.situation.payload));
+      }
+    }
+    list->clear();
+  }
+
+  /// A tuple with recycled capacity when one is spare, else an empty one.
+  Tuple Take() {
+    if (spare_.empty()) return Tuple();
+    Tuple t = std::move(spare_.back());
+    spare_.pop_back();
+    return t;
+  }
+
+ private:
+  std::vector<Tuple> spare_;
 };
 
 }  // namespace tpstream

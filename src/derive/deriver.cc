@@ -21,7 +21,10 @@ Deriver::Deriver(std::vector<SituationDefinition> definitions,
   // sized once, these vectors never grow on the per-event path.
   update_.started.reserve(defs_.size());
   update_.finished.reserve(defs_.size());
-  spare_payloads_.reserve(2 * defs_.size());
+  spare_payloads_.Reserve(2 * defs_.size());
+  def_words_ = (defs_.size() + 63) / 64;
+  active_mask_.assign(def_words_, 0);
+  satisfied_.assign(def_words_, 0);
   if (options_.compiled_predicates) {
     if (!options_.simd.empty()) {
       simd::SimdLevel level;
@@ -78,17 +81,14 @@ void Deriver::CompilePredicates() {
   batch_fields_.erase(
       std::unique(batch_fields_.begin(), batch_fields_.end()),
       batch_fields_.end());
-  all_defs_compiled_ =
-      std::find(program_of_def_.begin(), program_of_def_.end(), -1) ==
-      program_of_def_.end();
-  def_mask_of_prog_.assign(programs_.size(), 0);
-  sparse_masks_ok_ = all_defs_compiled_ && !defs_.empty() &&
-                     defs_.size() <= 64 && programs_.size() <= 64;
-  if (defs_.size() <= 64 && programs_.size() <= 64) {
-    for (size_t i = 0; i < defs_.size(); ++i) {
-      if (program_of_def_[i] >= 0) {
-        def_mask_of_prog_[program_of_def_[i]] |= uint64_t{1} << i;
-      }
+  prog_words_ = (programs_.size() + 63) / 64;
+  def_mask_of_prog_.assign(programs_.size() * def_words_, 0);
+  for (size_t i = 0; i < defs_.size(); ++i) {
+    const int p = program_of_def_[i];
+    if (p < 0) {
+      interpreted_defs_.push_back(static_cast<int>(i));
+    } else {
+      def_mask_of_prog_[p * def_words_ + i / 64] |= uint64_t{1} << (i % 64);
     }
   }
 }
@@ -126,33 +126,23 @@ void Deriver::PrepareBatch(std::span<const Event> events) {
     programs_[p]->RunPredicateColumnBits(
         batch_, &exec_scratch_, batch_bits_.data() + p * batch_words_);
   }
-  if (sparse_masks_ok_) {
-    // Transpose the program-major bitmaps into one program mask per
-    // event, a 64x64 bit transpose per word block. Rows past batch_n_
-    // carry zero bits (the packer zeroes the tail), so the over-sized
-    // final block is harmless.
-    batch_row_mask_.resize(batch_words_ * 64);
-    const int nprogs = static_cast<int>(programs_.size());
+  // Transpose the program-major bitmaps into one program mask per
+  // event: a 64x64 bit transpose per (event word, 64-program block).
+  // Rows past batch_n_ carry zero bits (the packer zeroes the tail), so
+  // the over-sized final block is harmless.
+  batch_row_mask_.resize(batch_words_ * 64 * prog_words_);
+  const size_t nprogs = programs_.size();
+  for (size_t pw = 0; pw < prog_words_; ++pw) {
     for (size_t w = 0; w < batch_words_; ++w) {
       uint64_t blk[64];
-      for (int p = 0; p < 64; ++p) {
+      for (size_t p = 0; p < 64; ++p) {
+        const size_t prog = pw * 64 + p;
         blk[63 - p] =
-            p < nprogs
-                ? batch_bits_[static_cast<size_t>(p) * batch_words_ + w]
-                : 0;
+            prog < nprogs ? batch_bits_[prog * batch_words_ + w] : 0;
       }
       AntiTranspose64(blk);
-      uint64_t* out = batch_row_mask_.data() + w * 64;
-      for (int r = 0; r < 64; ++r) out[r] = blk[63 - r];
-    }
-  } else {
-    // OR-union across programs: the word-skip fast path reads this
-    // bitmap only, one bit per event, regardless of how many
-    // definitions there are.
-    batch_any_.assign(batch_words_, 0);
-    for (size_t p = 0; p < programs_.size(); ++p) {
-      const uint64_t* bits = batch_bits_.data() + p * batch_words_;
-      for (size_t w = 0; w < batch_words_; ++w) batch_any_[w] |= bits[w];
+      uint64_t* out = batch_row_mask_.data() + w * 64 * prog_words_ + pw;
+      for (size_t r = 0; r < 64; ++r) out[r * prog_words_] = blk[63 - r];
     }
   }
   batch_base_ = events.data();
@@ -162,12 +152,6 @@ void Deriver::PrepareBatch(std::span<const Event> events) {
 bool Deriver::EvalCompiled(int def, const Event& event) {
   const int p = program_of_def_[def];
   if (p < 0) return EvalPredicate(*defs_[def].predicate, event.payload);
-  if (batch_base_ != nullptr) {
-    return (batch_bits_[static_cast<size_t>(p) * batch_words_ +
-                        (batch_cursor_ >> 6)] >>
-                (batch_cursor_ & 63) &
-            1) != 0;
-  }
   return programs_[p]->RunPredicate(event.payload, &exec_scratch_);
 }
 
@@ -180,8 +164,7 @@ void Deriver::ApplyDef(int i, const Event& event, bool satisfied) {
       slot.announced = false;
       slot.ts = event.t;
       slot.aggs.Init(event.payload);
-      ++active_slots_;
-      if (i < 64) active_mask_ |= uint64_t{1} << i;
+      SetActive(i, true);
       if (opened_ctr_ != nullptr) opened_ctr_->Inc();
     } else {
       slot.aggs.Update(event.payload);
@@ -207,91 +190,88 @@ void Deriver::ApplyDef(int i, const Event& event, bool satisfied) {
     }
     slot.active = false;
     slot.announced = false;
-    --active_slots_;
-    if (i < 64) active_mask_ &= ~(uint64_t{1} << i);
+    SetActive(i, false);
   }
 }
 
 Tuple Deriver::TakePayload(const Slot& slot) {
-  Tuple payload;
-  if (slot.aggs.size() == 0) return payload;
-  if (!spare_payloads_.empty()) {
-    payload = std::move(spare_payloads_.back());
-    spare_payloads_.pop_back();
-  }
+  if (slot.aggs.size() == 0) return Tuple();
+  Tuple payload = spare_payloads_.Take();
   slot.aggs.SnapshotInto(&payload);
   return payload;
 }
 
-void Deriver::RecycleUpdate() {
-  for (std::vector<SymbolSituation>* list :
-       {&update_.started, &update_.finished}) {
-    for (SymbolSituation& ss : *list) {
-      if (ss.situation.payload.capacity() > 0) {
-        spare_payloads_.push_back(std::move(ss.situation.payload));
-      }
-    }
-    list->clear();
-  }
-}
-
 Deriver::Update& Deriver::Process(const Event& event) {
-  if (!update_.empty()) RecycleUpdate();  // most events change nothing
+  if (!update_.empty()) {  // most events change nothing
+    spare_payloads_.Reclaim(&update_.started);
+    spare_payloads_.Reclaim(&update_.finished);
+  }
   if (events_ctr_ != nullptr) {
     events_ctr_->Inc();
     predicate_evals_ctr_->Inc(static_cast<int64_t>(defs_.size()));
   }
 
-  const bool compiled = options_.compiled_predicates;
-  if (compiled && batch_base_ != nullptr &&
+  if (batch_base_ != nullptr &&
       (batch_cursor_ >= batch_n_ || &event != batch_base_ + batch_cursor_)) {
     // The caller deviated from the announced batch (or consumed it);
     // drop the precomputed rows and evaluate per tuple.
     batch_base_ = nullptr;
   }
 
-  // Sparse fast path: the transposed bitmap hands us this event's
-  // satisfied-program mask in one load; expanding through
-  // def_mask_of_prog_ and OR-ing the open slots yields exactly the
-  // definitions with any work to do. The loop below visits only those
-  // (in ascending definition order, matching the dense loop's
-  // started/finished emission order); on a quiet event it runs zero
-  // iterations. This is where the columnar bitmaps pay off: a
-  // definition whose predicate rarely flips costs nothing per event.
-  if (compiled && batch_base_ != nullptr && sparse_masks_ok_) {
-    uint64_t sat_defs = 0;
-    for (uint64_t pm = batch_row_mask_[batch_cursor_]; pm != 0;
-         pm &= pm - 1) {
-      sat_defs |= def_mask_of_prog_[std::countr_zero(pm)];
+  // Sparse path: the transposed bitmap hands us this event's satisfied-
+  // program mask; OR-ing the definition masks of its programs, folding in the
+  // definitions whose predicate kept the interpreter, and OR-ing the
+  // open slots yields exactly the definitions with any work to do. The
+  // walk visits only those, in ascending definition order (the dense
+  // loop's started/finished emission order); on a quiet event it runs
+  // zero iterations, so a definition whose predicate rarely flips costs
+  // nothing per event.
+  if (batch_base_ != nullptr) {
+    uint64_t* sat = satisfied_.data();
+    std::fill(sat, sat + def_words_, 0);
+    const uint64_t* row =
+        batch_row_mask_.data() + batch_cursor_ * prog_words_;
+    for (size_t pw = 0; pw < prog_words_; ++pw) {
+      for (uint64_t pm = row[pw]; pm != 0; pm &= pm - 1) {
+        const uint64_t* defs =
+            def_mask_of_prog_.data() +
+            (pw * 64 + std::countr_zero(pm)) * def_words_;
+        for (size_t w = 0; w < def_words_; ++w) sat[w] |= defs[w];
+      }
     }
-    for (uint64_t work = sat_defs | active_mask_; work != 0;
-         work &= work - 1) {
-      const int i = std::countr_zero(work);
-      ApplyDef(i, event, (sat_defs >> i & 1) != 0);
+    for (const int i : interpreted_defs_) {
+      if (EvalPredicate(*defs_[i].predicate, event.payload)) {
+        sat[i >> 6] |= uint64_t{1} << (i & 63);
+      }
+    }
+    for (size_t w = 0; w < def_words_; ++w) {
+      for (uint64_t work = sat[w] | active_mask_[w]; work != 0;
+           work &= work - 1) {
+        const int bit = std::countr_zero(work);
+        ApplyDef(static_cast<int>(w * 64) + bit, event,
+                 (sat[w] >> bit & 1) != 0);
+      }
     }
     ++batch_cursor_;
     return update_;
   }
 
-  // Word-skip fast path for configurations the sparse masks can't
-  // cover (>64 definitions or programs): with no situation open and
-  // every predicate precomputed, an event whose bit is clear in the
-  // OR-union bitmap can neither open, extend, nor finish anything —
-  // the whole definition loop is a no-op.
-  if (compiled && batch_base_ != nullptr && active_slots_ == 0 &&
-      all_defs_compiled_ &&
-      (batch_any_[batch_cursor_ >> 6] >> (batch_cursor_ & 63) & 1) == 0) {
-    ++batch_cursor_;
-    return update_;
-  }
-
+  const bool compiled = options_.compiled_predicates;
   for (int i = 0; i < static_cast<int>(defs_.size()); ++i) {
     ApplyDef(i, event,
              compiled ? EvalCompiled(i, event)
                       : EvalPredicate(*defs_[i].predicate, event.payload));
   }
-  if (compiled && batch_base_ != nullptr) ++batch_cursor_;
   return update_;
+}
+
+void Deriver::ClearTransient() {
+  update_.started.clear();
+  update_.finished.clear();
+  batch_base_ = nullptr;
+  batch_n_ = 0;
+  batch_words_ = 0;
+  batch_cursor_ = 0;
 }
 
 void Deriver::Reset() {
@@ -300,14 +280,8 @@ void Deriver::Reset() {
     slot.announced = false;
     slot.ts = 0;
   }
-  update_.started.clear();
-  update_.finished.clear();
-  batch_base_ = nullptr;
-  batch_n_ = 0;
-  batch_words_ = 0;
-  batch_cursor_ = 0;
-  active_slots_ = 0;
-  active_mask_ = 0;
+  ClearTransient();
+  std::fill(active_mask_.begin(), active_mask_.end(), 0);
 }
 
 void Deriver::Checkpoint(ckpt::Writer& w) const {
@@ -337,19 +311,9 @@ Status Deriver::Restore(ckpt::Reader& r) {
     Status status = slot.aggs.Restore(r);
     if (!status.ok()) return status;
   }
-  update_.started.clear();
-  update_.finished.clear();
-  batch_base_ = nullptr;
-  batch_n_ = 0;
-  batch_words_ = 0;
-  batch_cursor_ = 0;
-  active_slots_ = 0;
-  active_mask_ = 0;
+  ClearTransient();
   for (size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].active) {
-      ++active_slots_;
-      if (i < 64) active_mask_ |= uint64_t{1} << i;
-    }
+    SetActive(static_cast<int>(i), slots_[i].active);
   }
   return r.EndSection(end);
 }

@@ -161,12 +161,19 @@ class Deriver {
   void CompilePredicates();
   bool EvalCompiled(int def, const Event& event);
   void ApplyDef(int i, const Event& event, bool satisfied);
+  void SetActive(int i, bool active) {
+    const uint64_t bit = uint64_t{1} << (i & 63);
+    if (active) {
+      active_mask_[i >> 6] |= bit;
+    } else {
+      active_mask_[i >> 6] &= ~bit;
+    }
+  }
   /// Current aggregates of `slot` as a situation payload, built in a
   /// recycled tuple when one is spare.
   Tuple TakePayload(const Slot& slot);
-  /// Moves the payload storage left in the previous update back into
-  /// spare_payloads_, then clears the update.
-  void RecycleUpdate();
+  /// Clears the update and forgets any announced batch (Reset/Restore).
+  void ClearTransient();
 
   std::vector<SituationDefinition> defs_;
   std::vector<Slot> slots_;
@@ -177,54 +184,47 @@ class Deriver {
   // retired payload into every situation they take (see
   // SituationBuffer::Append), so aggregate snapshots reuse storage and
   // steady-state derivation does not allocate.
-  std::vector<Tuple> spare_payloads_;
+  PayloadPool spare_payloads_;
 
   // Compiled-predicate state (empty in interpreter mode). Definitions
   // with fingerprint-equal predicates share one program: program_of_def_
   // maps definition -> index into programs_; -1 falls back to the
-  // interpreter for that definition.
+  // interpreter for that definition (listed in interpreted_defs_).
   std::vector<std::shared_ptr<const BytecodeProgram>> programs_;
   std::vector<int> program_of_def_;
+  std::vector<int> interpreted_defs_;
   std::vector<int> batch_fields_;  // union of referenced fields, ascending
   int64_t program_cache_hits_ = 0;
   ExecScratch exec_scratch_;
 
+  // Definition bitsets are def_words_ = ceil(defs / 64) words, bit
+  // `i % 64` of word `i / 64` standing for definition i; program masks
+  // are prog_words_ = ceil(programs / 64) words. active_mask_ mirrors
+  // slot.active for every definition. Row p of def_mask_of_prog_
+  // (def_words_ words from p * def_words_) is the set of definitions
+  // sharing program p.
+  size_t def_words_ = 0;
+  size_t prog_words_ = 0;
+  std::vector<uint64_t> def_mask_of_prog_;
+  std::vector<uint64_t> active_mask_;
+  std::vector<uint64_t> satisfied_;  // per-event scratch, def_words_
+
   // Prepared-batch state, valid while the caller walks the announced
-  // span in order (checked by address). Predicate results are selection
-  // bitmaps: bit `row % 64` of batch_bits_[prog * batch_words_ + row/64]
-  // is prog's predicate over batch event `row`. batch_any_ is the OR of
-  // all program bitmaps — a zero word there means no definition can open
-  // or extend a situation across those 64 events, which Process() uses
-  // to skip the whole per-definition loop when nothing is active.
+  // span in order (checked by address). batch_bits_ holds the program-
+  // major selection bitmaps: bit `row % 64` of
+  // batch_bits_[prog * batch_words_ + row / 64] is prog's predicate over
+  // batch event `row`. PrepareBatch transposes them into batch_row_mask_,
+  // one prog_words_-word program mask per event; Process() then walks
+  // only the set bits of (satisfied | active): a clear bit is a
+  // definition that can neither open, extend, nor close a situation on
+  // this event.
   ColumnarBatch batch_;
   std::vector<uint64_t> batch_bits_;
-  std::vector<uint64_t> batch_any_;
+  std::vector<uint64_t> batch_row_mask_;
   const Event* batch_base_ = nullptr;
   size_t batch_n_ = 0;
   size_t batch_words_ = 0;
   size_t batch_cursor_ = 0;
-
-  // True when every definition's predicate compiled (no interpreter
-  // fallbacks), so a zero batch_any_ bit covers all of them.
-  bool all_defs_compiled_ = false;
-  // Open slots (slot.active) across definitions, maintained on every
-  // open/close; the skip fast path requires it to be zero because a
-  // non-satisfying event must still finish an active situation.
-  int active_slots_ = 0;
-
-  // Sparse definition-loop state, live when every predicate compiled
-  // and both counts fit in one word (sparse_masks_ok_). PrepareBatch
-  // transposes the program bitmaps into batch_row_mask_: bit p of
-  // batch_row_mask_[row] is program p's predicate over batch event
-  // `row`. def_mask_of_prog_[p] is the set of definitions sharing
-  // program p, and active_mask_ mirrors slot.active for definitions
-  // < 64. Process() then walks only the set bits of
-  // (satisfied | active): a clear bit is a definition that can neither
-  // open, extend, nor close a situation on this event.
-  std::vector<uint64_t> batch_row_mask_;
-  std::vector<uint64_t> def_mask_of_prog_;
-  uint64_t active_mask_ = 0;
-  bool sparse_masks_ok_ = false;
 
   // Observability handles (null when metrics are disabled).
   obs::Counter* events_ctr_ = nullptr;

@@ -106,6 +106,11 @@ void QueryGroup::Seal() {
     query->engine = std::make_unique<MatchEngine>(
         &query->spec, deriver_.get(), query->slots, query->engine_options,
         std::move(query->output));
+    // One event starts and finishes at most one situation per symbol.
+    const size_t nsyms = query->slots.size();
+    query->scratch.started.reserve(nsyms);
+    query->scratch.finished.reserve(nsyms);
+    query->spare_payloads.Reserve(2 * nsyms);
   }
 
   started_by_def_.assign(shared_defs_.size(), nullptr);
@@ -174,25 +179,27 @@ void QueryGroup::Push(const Event& event) {
 
   // Fan out: assemble each dirty query's update in ascending query-symbol
   // order — exactly the order its own deriver would have produced — and
-  // feed its engine. Situations are copied per subscriber (isolation);
-  // the engine consumes the copies by move.
+  // feed its engine. Situations are copied per subscriber (isolation)
+  // into recycled payload storage; the engine consumes the copies by
+  // move and swaps retired payloads back, which the query's pool keeps
+  // for the next fan-out.
   for (const int q : dirty_) {
     Query& query = *queries_[q];
     SyncEvents(q);
     ckpt_dirty_[q] = 1;
     Deriver::Update& scratch = query.scratch;
-    scratch.started.clear();
-    scratch.finished.clear();
     for (int sym = 0; sym < static_cast<int>(query.slots.size()); ++sym) {
       const int d = query.slots[sym];
       if (const Situation* s = started_by_def_[d]) {
-        scratch.started.push_back(SymbolSituation{sym, *s});
+        scratch.started.push_back(query.CopyOf(sym, *s));
       }
       if (const Situation* f = finished_by_def_[d]) {
-        scratch.finished.push_back(SymbolSituation{sym, *f});
+        scratch.finished.push_back(query.CopyOf(sym, *f));
       }
     }
     query.engine->Consume(scratch, event.t);
+    query.spare_payloads.Reclaim(&scratch.started);
+    query.spare_payloads.Reclaim(&scratch.finished);
     dirty_flag_[q] = 0;
   }
   dirty_.clear();

@@ -214,6 +214,21 @@ class QueryGroup {
     std::vector<int> slots;           // query symbol -> shared def index
     std::unique_ptr<MatchEngine> engine;  // built at Seal
     Deriver::Update scratch;          // per-event fan-out assembly
+    // Payloads the engine swapped back into scratch (see PayloadPool):
+    // each fanned-out situation is copied into one of them, so the
+    // fan-out does not allocate in steady state.
+    PayloadPool spare_payloads;
+
+    /// `s` as query symbol `sym`, its payload copied into recycled
+    /// storage.
+    SymbolSituation CopyOf(int sym, const Situation& s) {
+      Tuple payload;
+      if (!s.payload.empty()) {
+        payload = spare_payloads.Take();
+        payload = s.payload;
+      }
+      return SymbolSituation{sym, Situation(std::move(payload), s.ts, s.te)};
+    }
   };
 
   /// Lazily advances query `q`'s engine to the group event count,

@@ -23,6 +23,27 @@ bool ReorderBuffer::Admit(const Event& event) {
   return true;
 }
 
+template <typename E>
+void ReorderBuffer::Insert(E&& event) {
+  if (size_ < heap_.size()) {
+    heap_[size_] = std::forward<E>(event);
+  } else {
+    heap_.push_back(std::forward<E>(event));
+  }
+  ++size_;
+  std::push_heap(heap_.begin(), heap_.begin() + size_, Later{});
+}
+
+void ReorderBuffer::ReleaseFront(const Sink& sink) {
+  last_released_ = heap_.front().t;
+  sink(heap_.front());
+  // pop_heap moves the minimum to size_ - 1, where it stays as a
+  // retained slot.
+  std::pop_heap(heap_.begin(), heap_.begin() + size_, Later{});
+  --size_;
+  if (released_ctr_ != nullptr) released_ctr_->Inc();
+}
+
 void ReorderBuffer::ReleaseReady(const Sink& sink) {
   // Release everything at or below the watermark. The subtraction
   // saturates at kTimeMin: for timestamps within `slack` of the lower
@@ -31,15 +52,9 @@ void ReorderBuffer::ReleaseReady(const Sink& sink) {
   watermark_ = max_seen_ < kTimeMin + options_.slack
                    ? kTimeMin
                    : max_seen_ - options_.slack;
-  while (!heap_.empty() && heap_.front().t <= watermark_) {
-    last_released_ = heap_.front().t;
-    sink(heap_.front());
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-    if (released_ctr_ != nullptr) released_ctr_->Inc();
-  }
+  while (size_ > 0 && heap_.front().t <= watermark_) ReleaseFront(sink);
   if (buffered_gauge_ != nullptr) {
-    buffered_gauge_->Set(static_cast<double>(heap_.size()));
+    buffered_gauge_->Set(static_cast<double>(size_));
     lag_gauge_->Set(static_cast<double>(max_seen_ - watermark_));
   }
 }
@@ -65,8 +80,7 @@ void ReorderBuffer::Push(const Event& event, const Sink& sink) {
     QuarantineLate(Event(event));
     return;
   }
-  heap_.push_back(event);
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  Insert(event);
   ReleaseReady(sink);
 }
 
@@ -77,19 +91,12 @@ void ReorderBuffer::Push(Event&& event, const Sink& sink) {
     QuarantineLate(std::move(event));
     return;
   }
-  heap_.push_back(std::move(event));
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  Insert(std::move(event));
   ReleaseReady(sink);
 }
 
 void ReorderBuffer::Flush(const Sink& sink) {
-  while (!heap_.empty()) {
-    last_released_ = heap_.front().t;
-    sink(heap_.front());
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-    if (released_ctr_ != nullptr) released_ctr_->Inc();
-  }
+  while (size_ > 0) ReleaseFront(sink);
   watermark_ = last_released_;
   if (buffered_gauge_ != nullptr) {
     buffered_gauge_->Set(0.0);
@@ -99,6 +106,7 @@ void ReorderBuffer::Flush(const Sink& sink) {
 
 void ReorderBuffer::Reset() {
   heap_.clear();
+  size_ = 0;
   max_seen_ = kTimeMin;
   last_released_ = kTimeMin;
   watermark_ = kTimeMin;
@@ -112,8 +120,8 @@ void ReorderBuffer::Reset() {
 
 void ReorderBuffer::Checkpoint(ckpt::Writer& w) const {
   const size_t cookie = w.BeginSection(ckpt::Tag::kReorderBuffer);
-  w.U64(heap_.size());
-  for (const Event& e : heap_) w.WriteEvent(e);
+  w.U64(size_);
+  for (size_t i = 0; i < size_; ++i) w.WriteEvent(heap_[i]);
   w.I64(max_seen_);
   w.I64(last_released_);
   w.I64(watermark_);
@@ -132,6 +140,7 @@ Status ReorderBuffer::Restore(ckpt::Reader& r) {
   heap_.clear();
   heap_.reserve(n);
   for (uint64_t i = 0; i < n && r.ok(); ++i) heap_.push_back(r.ReadEvent());
+  size_ = heap_.size();
   if (r.ok() && !std::is_heap(heap_.begin(), heap_.end(), Later{})) {
     r.Fail(Status::ParseError(
         "checkpoint: reorder buffer array violates the heap invariant"));
@@ -144,7 +153,7 @@ Status ReorderBuffer::Restore(ckpt::Reader& r) {
   num_dropped_ = r.I64();
   Status status = r.EndSection(end);
   if (status.ok() && buffered_gauge_ != nullptr) {
-    buffered_gauge_->Set(static_cast<double>(heap_.size()));
+    buffered_gauge_->Set(static_cast<double>(size_));
     // Subtract in double: untrusted checkpoint values must not take the
     // signed-overflow UB path even when semantically nonsensical.
     lag_gauge_->Set(static_cast<double>(max_seen_) -

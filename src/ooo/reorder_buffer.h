@@ -91,7 +91,7 @@ class ReorderBuffer {
 
   int64_t num_reordered() const { return num_reordered_; }
   int64_t num_dropped() const { return num_dropped_; }
-  size_t buffered() const { return heap_.size(); }
+  size_t buffered() const { return size_; }
   TimePoint watermark() const { return watermark_; }
 
   /// Returns the buffer to its freshly-constructed state: empties the
@@ -122,6 +122,12 @@ class ReorderBuffer {
   /// Delivers a dropped event to the dead-letter sink (after the late
   /// callback already saw it intact).
   void QuarantineLate(Event&& event);
+  /// Appends a live slot for `event` to the heap array (reusing a
+  /// retained slot when there is one) and restores the heap order.
+  template <typename E>
+  void Insert(E&& event);
+  /// Releases the heap minimum to `sink` and retires its slot.
+  void ReleaseFront(const Sink& sink);
   /// Shared back half: advances the watermark and releases in order.
   void ReleaseReady(const Sink& sink);
 
@@ -132,7 +138,12 @@ class ReorderBuffer {
   /// the exact array layout — heap operations are deterministic functions
   /// of the array, so a restored buffer releases equal-timestamp events
   /// in the same order the uninterrupted run would have.
+  ///
+  /// Only heap_[0, size_) is live. Released slots stay in the array past
+  /// size_ with their payload capacity, and a later push copy-assigns
+  /// into one of them, so steady-state buffering does not allocate.
   std::vector<Event> heap_;
+  size_t size_ = 0;
   TimePoint max_seen_ = kTimeMin;
   TimePoint last_released_ = kTimeMin;
   TimePoint watermark_ = kTimeMin;

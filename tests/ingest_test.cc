@@ -5,7 +5,8 @@
 //     partition_hash_test.cc) when the static analysis proves
 //     exactly-once delivery and no metrics are attached — also with an
 //     output callback, a match observer and a RETURN aggregate over a
-//     still-ongoing situation.
+//     still-ongoing situation — and so do the reorder stage and the
+//     multi-query fan-out of a QueryGroup.
 //  2. PushBatch() is differentially equivalent to per-event Push() for
 //     the sequential, partitioned, and parallel (1/2/4 workers)
 //     operators: identical matches and identical event/match counters.
@@ -15,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <new>
 #include <span>
@@ -27,9 +29,13 @@
 #include "algebra/detection.h"
 #include "core/operator.h"
 #include "core/partitioned_operator.h"
+#include "multi/query_group.h"
+#include "ooo/reorder_buffer.h"
 #include "parallel/parallel_operator.h"
 #include "pipeline/pipeline.h"
 #include "query/builder.h"
+#include "query/parser.h"
+#include "workload/market.h"
 #include "workload/synthetic.h"
 
 // Counting global allocator: every operator new in this binary bumps the
@@ -190,6 +196,104 @@ TEST(IngestAllocationTest, SteadyStateEmissionIsAllocationFree) {
   EXPECT_EQ(outputs, op.num_matches());
   EXPECT_EQ(observed, op.num_matches());
   EXPECT_GT(count_sum, 0);
+}
+
+// The multi-query fan-out: one shared deriver with more distinct
+// definitions than fit one mask word, every situation copied to each
+// subscribing query with its RETURN aggregates, low-latency and adaptive
+// on, driven in prepared batches. After warm-up nothing allocates: the
+// copies land in payload storage the engines swapped back.
+//
+// The controller keeps checking drift every reopt_interval consumes, but
+// its threshold is infinite (a statistic that starts at zero drifts
+// by ~1e9x on its first nonzero sample): a re-plan builds a plan key and
+// inserts a plan-memo entry on a miss, which allocate and are not part
+// of the fan-out. The test asserts that no re-plan ran in the window.
+TEST(IngestAllocationTest, SteadyStateMultiQueryFanOutIsAllocationFree) {
+  MarketDataGenerator gen({.num_symbols = 1, .seed = 5});
+  multi::QueryGroup::Options options;
+  options.low_latency = true;
+  options.adaptive = true;
+  options.reopt_threshold = std::numeric_limits<double>::infinity();
+  options.compiled_predicates = true;
+  multi::QueryGroup group(options);
+  int64_t outputs = 0;
+  double price_sum = 0;
+  constexpr int kQueries = 36;
+  for (int i = 0; i < kQueries; ++i) {
+    // X and Y thresholds/durations are unique per query: 72 distinct
+    // definitions in the shared deriver.
+    const std::string text =
+        "FROM M DEFINE X AS ret > 0.0" + std::to_string(2 + i % 6) +
+        " AT LEAST " + std::to_string(2 + i / 6) + ", Y AS volume > " +
+        std::to_string(150 + 5 * i) + " AT LEAST 2 PATTERN " +
+        (i % 2 == 0 ? "X before Y" : "X overlaps Y; X during Y; X meets Y") +
+        " WITHIN 300 RETURN first(X.price) AS px, first(Y.price) AS py";
+    auto spec = query::ParseQuery(text, gen.schema());
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    ASSERT_TRUE(group
+                    .AddQuery(spec.value(),
+                              [&](const Event& e) {
+                                ++outputs;
+                                price_sum += e.payload[0].AsDouble();
+                              })
+                    .ok());
+  }
+
+  std::vector<Event> events(40000);
+  for (Event& e : events) e = gen.Next();
+  const std::span<Event> all(events);
+  constexpr size_t kBatch = 256;
+  for (size_t i = 0; i < 20480; i += kBatch) {
+    group.PushBatch(all.subspan(i, kBatch));
+  }
+  ASSERT_EQ(group.num_distinct_definitions(), 2 * kQueries);
+
+  const int64_t outputs_before = outputs;
+  const int64_t plans_before =
+      group.plan_cache_hits() + group.plan_cache_misses();
+  const size_t before = g_allocation_count.load(std::memory_order_relaxed);
+  for (size_t i = 20480; i + kBatch <= events.size(); i += kBatch) {
+    group.PushBatch(all.subspan(i, kBatch));
+  }
+  const size_t after = g_allocation_count.load(std::memory_order_relaxed);
+  ASSERT_EQ(group.plan_cache_hits() + group.plan_cache_misses(),
+            plans_before);
+
+  EXPECT_EQ(after, before) << "fan-out allocated on the hot path ("
+                           << (after - before) << " allocations / "
+                           << group.num_events() - 20480 << " events)";
+  EXPECT_GT(outputs, outputs_before);
+  EXPECT_GT(price_sum, 0);
+}
+
+// The reorder stage keeps released heap slots and their payload storage,
+// so buffering a disordered stream copies each event into retained
+// capacity instead of allocating.
+TEST(IngestAllocationTest, SteadyStateReorderIsAllocationFree) {
+  std::vector<Event> events;
+  for (TimePoint t = 1; t <= 40000; ++t) {
+    const TimePoint shuffled = (t & ~7) | ((t & 7) ^ 5);  // within 8
+    events.push_back(Event({Value(shuffled), Value(true)}, shuffled));
+  }
+  ooo::ReorderBuffer reorder({/*slack=*/8});
+  int64_t released = 0;
+  const ooo::ReorderBuffer::Sink sink = [&](const Event&) { ++released; };
+  for (size_t i = 0; i < 20000; ++i) reorder.Push(events[i], sink);
+
+  const int64_t released_before = released;
+  const size_t before = g_allocation_count.load(std::memory_order_relaxed);
+  for (size_t i = 20000; i < events.size(); ++i) {
+    reorder.Push(events[i], sink);
+  }
+  const size_t after = g_allocation_count.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(after, before) << "reorder allocated on the hot path ("
+                           << (after - before)
+                           << " allocations / 20000 events)";
+  EXPECT_GT(reorder.num_reordered(), 0);
+  EXPECT_EQ(reorder.num_dropped(), 0);
+  EXPECT_GT(released, released_before);
 }
 
 /// Integer-keyed partitioned query with aggregates: the differential
