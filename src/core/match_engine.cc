@@ -13,7 +13,11 @@ MatchEngine::MatchEngine(const QuerySpec* spec, const Deriver* deriver,
       deriver_(deriver),
       deriver_slots_(std::move(deriver_slots)),
       options_(std::move(options)),
-      output_(std::move(output)) {
+      output_(std::move(output)),
+      return_items_of_(spec_->pattern.num_symbols()) {
+  for (size_t k = 0; k < spec_->returns.size(); ++k) {
+    return_items_of_[spec_->returns[k].symbol].push_back(static_cast<int>(k));
+  }
   // The base is private; convert here, where it is accessible.
   MatchSink* sink = this;
   if (options_.low_latency) {
@@ -167,58 +171,72 @@ void MatchEngine::Flush() {
   if (stats_publisher_.enabled()) stats_publisher_.Publish(stats());
 }
 
-void MatchEngine::OnMatch(const Match& match) {
-  ++num_matches_;
-  if (matches_ctr_ != nullptr) matches_ctr_->Inc();
-  if (detection_latency_hist_ != nullptr) {
-    // Detection latency in application time: how far behind the analytic
-    // earliest detection instant t_d (Section 5.3.1) this match surfaced.
-    // The low-latency matcher should pin this at ~0; the baseline matcher
-    // pays the distance between t_d and the last end timestamp.
-    const TimePoint td =
-        EarliestDetection(spec_->pattern, match.situations);
-    if (td != kTimeMax && match.detected_at >= td) {
-      detection_latency_hist_->Record(
-          static_cast<int64_t>(match.detected_at - td));
-    }
+Value MatchEngine::Project(const ReturnItem& item, const Situation& s) const {
+  switch (item.source) {
+    case ReturnItem::Source::kStartTime:
+      return Value(static_cast<int64_t>(s.ts));
+    case ReturnItem::Source::kEndTime:
+      return s.ongoing() ? Value::Null() : Value(static_cast<int64_t>(s.te));
+    case ReturnItem::Source::kDuration:
+      return s.ongoing() ? Value::Null()
+                         : Value(static_cast<int64_t>(s.duration()));
+    case ReturnItem::Source::kAggregate:
+      break;
   }
-  if (match_observer_) match_observer_(match);
-  if (!output_) return;
+  const int slot = deriver_slots_[item.symbol];
+  if (s.ongoing() && deriver_->IsOngoing(slot)) {
+    // Freshest aggregate for situations still being derived.
+    return deriver_->OngoingAggregate(slot, item.agg_index);
+  }
+  return item.agg_index < static_cast<int>(s.payload.size())
+             ? s.payload[item.agg_index]
+             : Value::Null();
+}
 
+void MatchEngine::OnRun(const MatchRun& run) {
+  if (matches_ctr_ != nullptr) {
+    matches_ctr_->Inc(static_cast<int64_t>(run.size()));
+  }
   // Project in place: the event's payload keeps its capacity across
-  // matches, and ongoing aggregates are read one value at a time.
+  // matches. The bound symbols are the same for every match of the run,
+  // so their items are projected once; per match only the varying
+  // symbol's items are overwritten.
   Tuple& payload = output_event_.payload;
-  payload.clear();
-  for (const ReturnItem& item : spec_->returns) {
-    const Situation& s = match[item.symbol];
-    switch (item.source) {
-      case ReturnItem::Source::kStartTime:
-        payload.push_back(Value(static_cast<int64_t>(s.ts)));
-        continue;
-      case ReturnItem::Source::kEndTime:
-        payload.push_back(s.ongoing() ? Value::Null()
-                                      : Value(static_cast<int64_t>(s.te)));
-        continue;
-      case ReturnItem::Source::kDuration:
-        payload.push_back(
-            s.ongoing() ? Value::Null()
-                        : Value(static_cast<int64_t>(s.duration())));
-        continue;
-      case ReturnItem::Source::kAggregate:
-        break;
-    }
-    const int slot = deriver_slots_[item.symbol];
-    if (s.ongoing() && deriver_->IsOngoing(slot)) {
-      // Freshest aggregate for situations still being derived.
-      payload.push_back(deriver_->OngoingAggregate(slot, item.agg_index));
-    } else {
-      payload.push_back(item.agg_index < static_cast<int>(s.payload.size())
-                            ? s.payload[item.agg_index]
-                            : Value::Null());
+  if (output_) {
+    payload.clear();
+    for (const ReturnItem& item : spec_->returns) {
+      payload.push_back(item.symbol == run.symbol
+                            ? Value::Null()
+                            : Project(item, *run.working_set[item.symbol]));
     }
   }
-  output_event_.t = match.detected_at;
-  output_(output_event_);
+  const std::vector<int>* varying_items =
+      run.symbol >= 0 ? &return_items_of_[run.symbol] : nullptr;
+  run.ForEach([&](const Match& match) {
+    ++num_matches_;
+    if (detection_latency_hist_ != nullptr) {
+      // Detection latency in application time: how far behind the
+      // analytic earliest detection instant t_d (Section 5.3.1) this
+      // match surfaced. The low-latency matcher should pin this at ~0;
+      // the baseline matcher pays the distance between t_d and the last
+      // end timestamp.
+      const TimePoint td =
+          EarliestDetection(spec_->pattern, match.situations);
+      if (td != kTimeMax && match.detected_at >= td) {
+        detection_latency_hist_->Record(
+            static_cast<int64_t>(match.detected_at - td));
+      }
+    }
+    if (match_observer_) match_observer_(match);
+    if (!output_) return;
+    if (varying_items != nullptr) {
+      for (int k : *varying_items) {
+        payload[k] = Project(spec_->returns[k], match[run.symbol]);
+      }
+    }
+    output_event_.t = match.detected_at;
+    output_(output_event_);
+  });
 }
 
 void MatchEngine::ForceEvaluationOrder(const std::vector<int>& order) {

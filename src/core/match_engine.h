@@ -36,9 +36,10 @@ namespace tpstream {
 /// match time.
 ///
 /// The engine is the MatchSink at the end of the emission chain: the
-/// matchers hand it each match as a view, and OnMatch projects RETURN
-/// into a reused Event. Both the Match given to the observer and the
-/// Event given to the output callback are valid only during the call.
+/// matchers hand it runs of matches, and OnRun projects RETURN into a
+/// reused Event, once per run for the bound symbols and per match for the
+/// varying one. Both the Match given to the observer and the Event given
+/// to the output callback are valid only during the call.
 class MatchEngine : private MatchSink {
  public:
   struct Options {
@@ -122,9 +123,13 @@ class MatchEngine : private MatchSink {
   int64_t shed_trigger_candidates() const;
 
  private:
-  /// Counts the match, feeds the detection-latency histogram and the
-  /// observer, and projects RETURN into output_event_ for `output_`.
-  void OnMatch(const Match& match) override;
+  /// Per match of the run: counts it, feeds the detection-latency
+  /// histogram and the observer, and projects RETURN into output_event_
+  /// for `output_`.
+  void OnRun(const MatchRun& run) override;
+
+  /// One RETURN item of situation `s` (bound to `item.symbol`).
+  Value Project(const ReturnItem& item, const Situation& s) const;
 
   /// Builds the adaptive controller (per Options) and installs the
   /// initial cost-based plan; shared by the constructor and Reset().
@@ -149,6 +154,9 @@ class MatchEngine : private MatchSink {
   // RETURN projection target, reused across matches (payload capacity is
   // kept), so emission does not allocate.
   Event output_event_;
+  // Indices into spec_->returns, per symbol: the items a run overwrites
+  // per match.
+  std::vector<std::vector<int>> return_items_of_;
 
   // Observability handles (null when metrics are disabled).
   obs::Counter* events_ctr_ = nullptr;

@@ -1,5 +1,7 @@
 #include "matcher/joiner.h"
 
+#include <algorithm>
+#include <cassert>
 #include <numeric>
 
 #include "robust/saturating.h"
@@ -8,6 +10,7 @@ namespace tpstream {
 
 using robust::SaturatingAdd;
 using robust::SaturatingMul;
+using robust::SaturatingSub;
 
 PatternJoiner::PatternJoiner(const TemporalPattern* pattern, Duration window)
     : pattern_(pattern), window_(window) {
@@ -130,17 +133,25 @@ void PatternJoiner::Enumerate(std::vector<const Situation*>& working_set,
                               TimePoint now, MatchSink& sink,
                               MatcherStats* stats) {
   if (probes_ctr_ != nullptr) probes_ctr_->Inc();
-  if (step_scratch_.size() < order_.steps().size()) {
-    step_scratch_.resize(order_.steps().size());
+  const std::vector<EvalStep>& steps = order_.steps();
+  if (step_scratch_.size() < steps.size()) step_scratch_.resize(steps.size());
+  // The last unbound step hands its candidates to the sink as runs; with
+  // every symbol pre-bound, the configuration is a run of one.
+  size_t last_unbound = steps.size();
+  for (size_t i = steps.size(); i-- > 0;) {
+    if (working_set[steps[i].symbol] == nullptr) {
+      last_unbound = i;
+      break;
+    }
   }
-  Step(working_set, 0, now, sink, stats);
+  Step(working_set, 0, last_unbound, now, sink, stats);
 }
 
 void PatternJoiner::Step(std::vector<const Situation*>& ws, size_t step_index,
-                         TimePoint now, MatchSink& sink,
+                         size_t last_unbound, TimePoint now, MatchSink& sink,
                          MatcherStats* stats) {
-  if (step_index == order_.steps().size()) {
-    EmitIfWindowOk(ws, now, sink);
+  if (step_index == last_unbound) {
+    EmitRuns(ws, step_index, now, sink, stats);
     return;
   }
   const EvalStep& step = order_.steps()[step_index];
@@ -149,7 +160,7 @@ void PatternJoiner::Step(std::vector<const Situation*>& ws, size_t step_index,
     // Algorithm 2, or started situations in Algorithm 4): skip its buffer
     // and verify the applicable constraints directly.
     if (CheckBound(step, ws)) {
-      Step(ws, step_index + 1, now, sink, stats);
+      Step(ws, step_index + 1, last_unbound, now, sink, stats);
     }
     return;
   }
@@ -164,9 +175,78 @@ void PatternJoiner::Step(std::vector<const Situation*>& ws, size_t step_index,
   }
   candidates.ForEach([&](uint32_t idx) {
     ws[step.symbol] = &buf.At(idx);
-    Step(ws, step_index + 1, now, sink, stats);
+    Step(ws, step_index + 1, last_unbound, now, sink, stats);
   });
   ws[step.symbol] = nullptr;
+}
+
+void PatternJoiner::EmitRuns(std::vector<const Situation*>& ws,
+                             size_t step_index, TimePoint now,
+                             MatchSink& sink, MatcherStats* stats) {
+  const std::vector<EvalStep>& steps = order_.steps();
+  const bool varying = step_index < steps.size();
+  const IndexRanges* candidates = nullptr;
+  if (varying) {
+    candidates = &FindCandidates(steps[step_index], ws, stats,
+                                 step_scratch_[step_index]);
+    if (partial_configs_ctr_ != nullptr) {
+      partial_configs_ctr_->Inc(
+          static_cast<int64_t>(candidates->TotalSize()));
+    }
+    if (candidates->empty()) return;
+  }
+  // The remaining steps are pre-bound. Their constraints with this step's
+  // symbol already shaped the candidates (the range queries select
+  // exactly the certain ones); the others do not depend on the candidate,
+  // so they are checked once per run, with the symbol still unbound.
+  for (size_t j = step_index + 1; j < steps.size(); ++j) {
+    if (!CheckBound(steps[j], ws)) return;
+  }
+
+  // Window: every candidate c ends no later than the bound prefix P's
+  // latest end P_te (buffers hold situations finished by `now`, and P
+  // holds the trigger, which ends at `now` or is ongoing; the baseline
+  // matcher appends in end-timestamp order). So max(te) - min(ts) <= W
+  // splits into P_te - P_ts <= W, for the whole run, and
+  // c.ts >= P_te - W, a lower bound that clips each candidate range
+  // (the buffer is sorted by start). Ongoing situations extend at least
+  // to the current time; the match is emitted early under the documented
+  // low-latency window semantics.
+  TimePoint p_ts = kTimeMax;
+  TimePoint p_te = kTimeMin;
+  for (const Situation* s : ws) {
+    if (s == nullptr) continue;  // the candidate's slot
+    p_ts = std::min(p_ts, s->ts);
+    p_te = std::max(p_te, s->ongoing() ? now : s->te);
+  }
+  const uint64_t total = varying ? candidates->TotalSize() : 1;
+  uint64_t emitted = 0;
+  if (SaturatingSub(p_te, p_ts) <= window_) {
+    if (!varying) {
+      sink.OnRun(MatchRun{ws, -1, nullptr, 0, 1, now});
+      emitted = 1;
+    } else {
+      const int symbol = steps[step_index].symbol;
+      const SituationBuffer& buf = buffers_[symbol];
+      const IndexRange clip =
+          buf.FindTs(TimeRange::AtLeast(SaturatingSub(p_te, window_)));
+      MatchRun run{ws, symbol, &buf, 0, 0, now};
+      for (const IndexRange& range : candidates->ranges()) {
+        const IndexRange r = range.Intersect(clip);
+        if (r.empty()) continue;
+        assert(buf.At(r.hi - 1).te <= p_te);
+        run.lo = r.lo;
+        run.hi = r.hi;
+        sink.OnRun(run);
+        emitted += run.size();
+      }
+      ws[symbol] = nullptr;
+    }
+  }
+  if (full_matches_ctr_ != nullptr) {
+    full_matches_ctr_->Inc(static_cast<int64_t>(emitted));
+    window_rejects_ctr_->Inc(static_cast<int64_t>(total - emitted));
+  }
 }
 
 bool PatternJoiner::CheckBound(const EvalStep& step,
@@ -263,27 +343,6 @@ const IndexRanges& PatternJoiner::FindCandidates(
     result.Add(IndexRange{0, static_cast<uint32_t>(buf.size())});
   }
   return result;
-}
-
-void PatternJoiner::EmitIfWindowOk(const std::vector<const Situation*>& ws,
-                                   TimePoint now, MatchSink& sink) const {
-  TimePoint min_ts = kTimeMax;
-  TimePoint max_te = kTimeMin;
-  for (const Situation* s : ws) {
-    if (s->ts < min_ts) min_ts = s->ts;
-    // Ongoing situations extend at least to the current time; the match
-    // is emitted early under the documented low-latency window semantics.
-    const TimePoint te = s->ongoing() ? now : s->te;
-    if (te > max_te) max_te = te;
-  }
-  if (max_te - min_ts > window_) {
-    if (window_rejects_ctr_ != nullptr) window_rejects_ctr_->Inc();
-    return;
-  }
-  if (full_matches_ctr_ != nullptr) full_matches_ctr_->Inc();
-  // A view over the working set: valid only during the call, which is
-  // all the Match contract promises (consumers call ToOwned() to keep).
-  sink.OnMatch(Match{ws, now});
 }
 
 }  // namespace tpstream

@@ -25,9 +25,10 @@ namespace tpstream {
 /// Figure 3). Bound entries may be ongoing; every emitted configuration is
 /// *certain* to match (three-valued constraint evaluation).
 ///
-/// Emission copies nothing: each match is a Match view over the working
-/// set (pointers into the buffers and the caller's started slots), handed
-/// to a MatchSink and valid only during that call.
+/// Emission copies nothing and is run-at-a-time: the last unbound step's
+/// candidates, clipped to the window, reach the MatchSink as MatchRuns
+/// over the working set (pointers into the buffers and the caller's
+/// started slots), valid only during that call.
 class PatternJoiner {
  public:
   PatternJoiner(const TemporalPattern* pattern, Duration window);
@@ -98,8 +99,8 @@ class PatternJoiner {
   Status Restore(ckpt::Reader& r);
 
   /// Enumerates every certain configuration containing all non-null
-  /// entries of `working_set` (pointers indexed by symbol) and hands each
-  /// to `sink` as a view over `working_set`. `now` is the current
+  /// entries of `working_set` (pointers indexed by symbol) and hands them
+  /// to `sink` as runs over `working_set`. `now` is the current
   /// application time, used to close the window condition for ongoing
   /// entries. Statistics are folded into `stats` when non-null.
   void Enumerate(std::vector<const Situation*>& working_set, TimePoint now,
@@ -116,7 +117,16 @@ class PatternJoiner {
   };
 
   void Step(std::vector<const Situation*>& ws, size_t step_index,
-            TimePoint now, MatchSink& sink, MatcherStats* stats);
+            size_t last_unbound, TimePoint now, MatchSink& sink,
+            MatcherStats* stats);
+
+  /// The last unbound step (or, at `step_index == steps().size()`, the
+  /// end of a fully pre-bound order): checks the trailing pre-bound
+  /// steps and the prefix's window once per bound prefix, clips the
+  /// candidate ranges to the window by binary search, and hands the
+  /// surviving runs to `sink`.
+  void EmitRuns(std::vector<const Situation*>& ws, size_t step_index,
+                TimePoint now, MatchSink& sink, MatcherStats* stats);
 
   /// Checks all constraints of `step` whose other endpoint is bound,
   /// against the bound situation of the step's own symbol.
@@ -132,9 +142,6 @@ class PatternJoiner {
                                     const std::vector<const Situation*>& ws,
                                     MatcherStats* stats,
                                     StepScratch& scratch);
-
-  void EmitIfWindowOk(const std::vector<const Situation*>& ws, TimePoint now,
-                      MatchSink& sink) const;
 
   const IndexRanges& FindCandidatesNaive(
       const EvalStep& step, const std::vector<const Situation*>& ws,

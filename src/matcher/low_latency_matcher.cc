@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "robust/saturating.h"
+
 namespace tpstream {
 
 namespace {
@@ -136,7 +138,8 @@ void LowLatencyMatcher::Update(const std::vector<SymbolSituation>& started,
 void LowLatencyMatcher::Consume(std::vector<SymbolSituation>& started,
                                 std::vector<SymbolSituation>& finished,
                                 TimePoint now) {
-  joiner_.PurgeBefore(now - window_);
+  const TimePoint horizon = robust::SaturatingSub(now, window_);
+  joiner_.PurgeBefore(horizon);
 
   // Migrate every situation finishing now before running end triggers, so
   // that simultaneously ending counterparts (equals / finishes /
@@ -183,7 +186,6 @@ void LowLatencyMatcher::Consume(std::vector<SymbolSituation>& started,
   // Amortized sweep of the exactly-once guard.
   if (analysis_.needs_dedup() &&
       emitted_.size() >= emitted_sweep_threshold_) {
-    const TimePoint horizon = now - window_;
     for (auto it = emitted_.begin(); it != emitted_.end();) {
       it = it->second < horizon ? emitted_.erase(it) : std::next(it);
     }
@@ -204,7 +206,8 @@ void LowLatencyMatcher::Trigger(int symbol, const Situation& situation,
   for (int j = 0; j < pattern_.num_symbols(); ++j) {
     if (j == symbol || !started_[j].active) continue;
     const Situation& ongoing = started_[j].situation;
-    if (ongoing.ts < now - window_) continue;  // window purge
+    // Window purge.
+    if (ongoing.ts < robust::SaturatingSub(now, window_)) continue;
     const int ci = pattern_.ConstraintIndex(symbol, j);
     if (ci >= 0) {
       const TemporalConstraint& c = pattern_.constraints()[ci];
@@ -247,23 +250,37 @@ void LowLatencyMatcher::Trigger(int symbol, const Situation& situation,
   }
 }
 
-void LowLatencyMatcher::OnMatch(const Match& match) {
+void LowLatencyMatcher::OnRun(const MatchRun& run) {
   // When the detection analysis proves exactly-once delivery, skip the
   // fingerprint table entirely — it dominates per-match cost on
-  // match-heavy patterns.
-  if (analysis_.needs_dedup()) {
+  // match-heavy patterns — and forward the run as it is.
+  if (!analysis_.needs_dedup()) {
+    sink_->OnRun(run);
+    return;
+  }
+  // Dedup match by match; the first-time matches go on as sub-runs.
+  MatchRun fresh = run;
+  uint32_t i = run.lo;
+  run.ForEach([&](const Match& match) {
     TimePoint min_ts = kTimeMax;
     for (const Situation* s : match.situations) {
       if (s->ts < min_ts) min_ts = s->ts;
     }
     const uint64_t fp = Fingerprint(match);
-    auto [it, inserted] = emitted_.emplace(fp, min_ts);
-    if (!inserted) {
+    if (!emitted_.emplace(fp, min_ts).second) {
       if (dedup_hits_ctr_ != nullptr) dedup_hits_ctr_->Inc();
-      return;
+      if (fresh.lo < i) {
+        fresh.hi = i;
+        sink_->OnRun(fresh);
+      }
+      fresh.lo = i + 1;
     }
+    ++i;
+  });
+  if (fresh.lo < run.hi) {
+    fresh.hi = run.hi;
+    sink_->OnRun(fresh);
   }
-  sink_->OnMatch(match);
 }
 
 }  // namespace tpstream

@@ -35,9 +35,11 @@ namespace tpstream {
 ///  - the window condition for configurations containing ongoing
 ///    situations is evaluated against the current time.
 ///
-/// The matcher is itself the join core's MatchSink: its OnMatch is the
-/// exactly-once step, which forwards surviving matches to `sink` (one
-/// virtual call, no copy). `sink` must outlive the matcher.
+/// The matcher is itself the join core's MatchSink: its OnRun is the
+/// exactly-once step, which forwards runs to `sink` unchanged when the
+/// detection analysis proves exactly-once delivery, and otherwise the
+/// first-time matches of each run as sub-runs (one virtual call per run,
+/// no copy). `sink` must outlive the matcher.
 class LowLatencyMatcher : private MatchSink {
  public:
   LowLatencyMatcher(TemporalPattern pattern, DetectionAnalysis analysis,
@@ -112,7 +114,7 @@ class LowLatencyMatcher : private MatchSink {
                TimePoint now);
 
   /// Exactly-once step between the join core and `sink_`.
-  void OnMatch(const Match& match) override;
+  void OnRun(const MatchRun& run) override;
 
   /// Ongoing situation of one symbol (at most one: situations of a
   /// stream are disjoint). The payload is the aggregate snapshot at

@@ -8,6 +8,7 @@
 
 #include "common/situation.h"
 #include "common/time.h"
+#include "matcher/situation_buffer.h"
 
 namespace tpstream {
 
@@ -53,14 +54,53 @@ struct Match {
   }
 };
 
+/// A block of matches that differ only in one symbol (the last join step's
+/// candidates, Section 5.2): the working set binds every other symbol,
+/// and `symbol` ranges over the logical positions [lo, hi) of `buffer`.
+/// Every position is a match — the join core has already applied the
+/// constraints and the window. A fully bound configuration is a run of
+/// one with `buffer == nullptr` (and `symbol == -1`).
+///
+/// Lifetime contract: as for Match, a run and everything it refers to
+/// are valid only during the call that receives it. Iterating binds
+/// `working_set[symbol]` to each candidate in turn, so the Match views
+/// ForEach hands out are valid only until the next candidate.
+struct MatchRun {
+  std::span<const Situation*> working_set;
+  int symbol = -1;
+  const SituationBuffer* buffer = nullptr;
+  uint32_t lo = 0;
+  uint32_t hi = 1;
+  /// Detection time of every match in the run.
+  TimePoint detected_at = 0;
+
+  size_t size() const { return hi - lo; }
+
+  /// Calls fn(const Match&) for every match of the run, in buffer order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    const Match match{working_set, detected_at};
+    if (buffer == nullptr) {
+      fn(match);
+      return;
+    }
+    const Situation** slot = &working_set[symbol];
+    buffer->ForEachIn(lo, hi, [&](const Situation& s) {
+      *slot = &s;
+      fn(match);
+    });
+  }
+};
+
 /// The one emission interface inside the engine: the join core hands
-/// every match to a sink, which is either the low-latency matcher's
-/// exactly-once step or the MatchEngine (RETURN projection and output).
-/// One virtual call per hop; nothing is built per trigger or per match.
+/// every run of matches to a sink, which is either the low-latency
+/// matcher's exactly-once step or the MatchEngine (RETURN projection and
+/// output). One virtual call per hop and run; nothing is built per
+/// trigger or per match.
 class MatchSink {
  public:
   virtual ~MatchSink() = default;
-  virtual void OnMatch(const Match& match) = 0;
+  virtual void OnRun(const MatchRun& run) = 0;
 };
 
 /// Callback form of a match consumer, used at the public edges
@@ -74,7 +114,7 @@ class CallbackSink final : public MatchSink {
  public:
   explicit CallbackSink(MatchCallback callback)
       : callback_(std::move(callback)) {}
-  void OnMatch(const Match& match) override { callback_(match); }
+  void OnRun(const MatchRun& run) override { run.ForEach(callback_); }
 
  private:
   MatchCallback callback_;

@@ -1,5 +1,7 @@
 #include "matcher/matcher.h"
 
+#include "robust/saturating.h"
+
 namespace tpstream {
 
 Matcher::Matcher(TemporalPattern pattern, Duration window, MatchSink* sink,
@@ -43,7 +45,7 @@ void Matcher::Update(const std::vector<SymbolSituation>& finished,
 }
 
 void Matcher::Consume(std::vector<SymbolSituation>& finished, TimePoint now) {
-  joiner_.PurgeBefore(now - window_);
+  joiner_.PurgeBefore(robust::SaturatingSub(now, window_));
 
   for (SymbolSituation& ss : finished) {
     SituationBuffer& buf = joiner_.buffer(ss.symbol);

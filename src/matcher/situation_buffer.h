@@ -1,6 +1,7 @@
 #ifndef TPSTREAM_MATCHER_SITUATION_BUFFER_H_
 #define TPSTREAM_MATCHER_SITUATION_BUFFER_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <utility>
@@ -111,6 +112,22 @@ class SituationBuffer {
   }
   const Situation& Front() const { return At(0); }
   const Situation& Back() const { return At(size_ - 1); }
+
+  /// Calls fn(const Situation&) for the logical positions [lo, hi) in
+  /// order. The range maps to at most two contiguous stretches of the
+  /// ring, walked by pointer.
+  template <typename Fn>
+  void ForEachIn(size_t lo, size_t hi, Fn&& fn) const {
+    assert(lo <= hi && hi <= size_);
+    while (lo < hi) {
+      const size_t phys = (head_ + lo) % data_.size();
+      const size_t n = std::min(hi - lo, data_.size() - phys);
+      for (const Situation *s = &data_[phys], *end = s + n; s != end; ++s) {
+        fn(*s);
+      }
+      lo += n;
+    }
+  }
 
   /// Logical index range of situations whose start timestamp falls into
   /// `range` (inclusive bounds).

@@ -25,11 +25,18 @@ namespace tpstream {
 /// therefore behave identically to engines that do not — sharing the
 /// memo can never change a plan, only skip recomputing it.
 ///
+/// The memo holds at most kMaxEntries plans. EMA-keyed entries of a
+/// drifting stream are rarely read twice, so an unbounded memo would grow
+/// with the stream's length; on overflow it starts over empty, which
+/// costs only recomputation.
+///
 /// Not synchronized: a QueryGroup drives all its engines from one thread
 /// (same contract as TPStreamOperator). Each partition/worker of a
 /// parallel deployment gets its own cache.
 class SharedPlanCache {
  public:
+  static constexpr size_t kMaxEntries = 1024;
+
   /// Returns the order cached under `key`, invoking `compute` on a miss.
   const std::vector<int>& GetOrCompute(
       const std::string& key,

@@ -14,6 +14,7 @@
 //     results identical to copying ingestion.
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <limits>
@@ -142,10 +143,11 @@ QuerySpec OngoingAggregateSpec() {
   return spec.value();
 }
 
-// The emission path itself: output callback, match observer and a RETURN
-// aggregate over an ongoing situation all run, and still nothing
-// allocates (the Match is a view, RETURN is projected into a reused
-// Event, situation payloads are recycled between deriver and matcher).
+// The emission path itself: multi-candidate runs reach the output
+// callback and the match observer, a RETURN aggregate is read over an
+// ongoing situation, and still nothing allocates (runs and Matches are
+// views, RETURN is projected into a reused Event, situation payloads are
+// recycled between deriver and matcher).
 TEST(IngestAllocationTest, SteadyStateEmissionIsAllocationFree) {
   const QuerySpec spec = OngoingAggregateSpec();
   {
@@ -166,9 +168,22 @@ TEST(IngestAllocationTest, SteadyStateEmissionIsAllocationFree) {
   });
   int64_t observed = 0;
   int64_t ongoing_c = 0;
+  // Matches that follow one with the same detection time and the same
+  // situations for all but one symbol: the later members of a
+  // multi-candidate run.
+  int64_t run_followers = 0;
+  std::array<const Situation*, 3> previous{};
+  TimePoint previous_at = kTimeMin;
   op.SetMatchObserver([&](const Match& m) {
     ++observed;
     if (m[2].ongoing()) ++ongoing_c;
+    int differing = 0;
+    for (size_t i = 0; i < previous.size(); ++i) {
+      if (m.situations[i] != previous[i]) ++differing;
+      previous[i] = m.situations[i];
+    }
+    if (differing == 1 && m.detected_at == previous_at) ++run_followers;
+    previous_at = m.detected_at;
   });
 
   SyntheticGenerator gen({.num_streams = 3, .seed = 9});
@@ -180,6 +195,7 @@ TEST(IngestAllocationTest, SteadyStateEmissionIsAllocationFree) {
 
   const int64_t matches_before = op.num_matches();
   const int64_t ongoing_before = ongoing_c;
+  const int64_t followers_before = run_followers;
   const size_t before = g_allocation_count.load(std::memory_order_relaxed);
   for (int i = 0; i < 20000; ++i) {
     gen.Next(&scratch);
@@ -193,6 +209,8 @@ TEST(IngestAllocationTest, SteadyStateEmissionIsAllocationFree) {
   EXPECT_GT(op.num_matches(), matches_before);
   // The RETURN aggregate was read from ongoing C situations.
   EXPECT_GT(ongoing_c, ongoing_before);
+  // Multi-candidate runs were emitted.
+  EXPECT_GT(run_followers, followers_before);
   EXPECT_EQ(outputs, op.num_matches());
   EXPECT_EQ(observed, op.num_matches());
   EXPECT_GT(count_sum, 0);

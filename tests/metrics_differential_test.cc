@@ -264,5 +264,67 @@ TEST(MetricsDifferentialTest, ParallelPartitionCountersMatchSequential) {
   EXPECT_EQ(op.num_matches(), sequential.num_matches());
 }
 
+// The join core emits whole candidate runs and clips them to the window
+// by binary search, without visiting the clipped candidates; the
+// join-core counters must still read what per-candidate emission
+// counted. Pinned to the values of per-candidate emission on a fixed
+// stream whose situations often outlast the window, so candidates are
+// windowed out (clipped, split off, or dropped with their prefix).
+TEST(MetricsDifferentialTest, JoinCountersArePinnedOnAFixedStream) {
+  Schema schema({Field{"f", ValueType::kBool}, Field{"g", ValueType::kBool},
+                 Field{"h", ValueType::kBool}});
+  QueryBuilder qb(schema);
+  qb.Define("A", FieldRef(0, "f"))
+      .Define("B", FieldRef(1, "g"))
+      .Define("C", FieldRef(2, "h"))
+      .Relate("A", {Relation::kContains, Relation::kStartedBy}, "B")
+      .Relate("A", {Relation::kContains, Relation::kFinishedBy}, "C")
+      .Within(40)
+      .Return("n", "B", AggKind::kCount);
+  auto spec = qb.Build();
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+
+  std::mt19937_64 rng(14);
+  std::bernoulli_distribution flip_f(0.05);
+  std::bernoulli_distribution flip_g(0.2);
+  std::bernoulli_distribution flip_h(0.15);
+  bool f = false;
+  bool g = false;
+  bool h = false;
+  std::vector<Event> events;
+  for (TimePoint t = 1; t <= 20000; ++t) {
+    if (flip_f(rng)) f = !f;
+    if (flip_g(rng)) g = !g;
+    if (flip_h(rng)) h = !h;
+    events.push_back(Event({Value(f), Value(g), Value(h)}, t));
+  }
+
+  struct Pinned {
+    bool low_latency;
+    int64_t matches;
+    int64_t full_matches;
+    int64_t partial_configs;
+    int64_t window_rejects;
+  };
+  const Pinned kPinned[] = {
+      {true, 1182, 1779, 2906, 638},
+      {false, 559, 559, 1686, 638},
+  };
+  for (const Pinned& pinned : kPinned) {
+    SCOPED_TRACE(pinned.low_latency ? "low-latency" : "baseline");
+    obs::MetricsRegistry registry;
+    TPStreamOperator::Options options;
+    options.low_latency = pinned.low_latency;
+    options.metrics = &registry;
+    TPStreamOperator op(spec.value(), options, [](const Event&) {});
+    for (const Event& e : events) op.Push(e);
+    const auto counters = registry.Snapshot().counters;
+    EXPECT_EQ(counters.at("operator.matches"), pinned.matches);
+    EXPECT_EQ(counters.at("matcher.full_matches"), pinned.full_matches);
+    EXPECT_EQ(counters.at("matcher.partial_configs"), pinned.partial_configs);
+    EXPECT_EQ(counters.at("matcher.window_rejects"), pinned.window_rejects);
+  }
+}
+
 }  // namespace
 }  // namespace tpstream

@@ -189,6 +189,38 @@ TEST(QueryGroupTest, SharedPlanCacheHitsForIdenticalQueries) {
   EXPECT_EQ(group.plan_cache_hits(), 7);
 }
 
+// The plan memo is keyed by bit-exact EMA statistics, which a drifting
+// stream rarely repeats. Over a long stream it stays within its cap,
+// keeps counting hits and misses, and keeps returning the computed plan.
+TEST(QueryGroupTest, SharedPlanCacheStaysBoundedOnLongStreams) {
+  SharedPlanCache cache;
+  int64_t computed = 0;
+  const size_t kSteps = 5 * SharedPlanCache::kMaxEntries;
+  const std::vector<int> kSharedPlan = {2, 1, 0};
+  for (size_t i = 0; i < kSteps; ++i) {
+    const int first = static_cast<int>(i % 3);
+    EXPECT_EQ(cache
+                  .GetOrCompute("drift" + std::to_string(i),
+                                [&] {
+                                  ++computed;
+                                  return std::vector<int>{first, 1, 2};
+                                })
+                  .front(),
+              first);
+    // A key every query of a group looks up again.
+    EXPECT_EQ(cache.GetOrCompute("shared",
+                                 [&] {
+                                   ++computed;
+                                   return kSharedPlan;
+                                 }),
+              kSharedPlan);
+    ASSERT_LE(cache.size(), SharedPlanCache::kMaxEntries);
+  }
+  EXPECT_EQ(cache.hits() + cache.misses(), static_cast<int64_t>(2 * kSteps));
+  EXPECT_EQ(cache.misses(), computed);
+  EXPECT_GT(cache.hits(), static_cast<int64_t>(kSteps / 2));
+}
+
 TEST(QueryGroupTest, GroupMetricsAndSharedDeriverNamespace) {
   obs::MetricsRegistry group_metrics;
   obs::MetricsRegistry q0_metrics;

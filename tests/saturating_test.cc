@@ -6,6 +6,9 @@
 #include "robust/saturating.h"
 
 #include <limits>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -27,6 +30,19 @@ TEST(SaturatingTest, AddSaturatesAtBoundary) {
   EXPECT_EQ(robust::SaturatingAdd(kMax - 1, 2), kMax);
   EXPECT_EQ(robust::SaturatingAdd(kMax, kMax), kMax);
   EXPECT_EQ(robust::SaturatingAdd(kMax / 2, kMax / 2 + 1), kMax);
+}
+
+TEST(SaturatingTest, SignedAddSubSaturateAtBothLimits) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(robust::SaturatingAdd(-5, 3), -2);
+  EXPECT_EQ(robust::SaturatingAdd(kMin, -1), kMin);
+  EXPECT_EQ(robust::SaturatingAdd(kMin + 1, kMin), kMin);
+  EXPECT_EQ(robust::SaturatingSub(5, 8), -3);
+  EXPECT_EQ(robust::SaturatingSub(kMax, -1), kMax);
+  EXPECT_EQ(robust::SaturatingSub(kMin, 1), kMin);
+  EXPECT_EQ(robust::SaturatingSub(kMin, kMax), kMin);
+  EXPECT_EQ(robust::SaturatingSub(kMax, kMin), kMax);
+  EXPECT_EQ(robust::SaturatingSub(-1, kMax), kMin);
 }
 
 TEST(SaturatingTest, MulSaturatesAtBoundary) {
@@ -83,6 +99,64 @@ TEST(SaturatingTest, LostMatchBoundCounterTracksAccessor) {
             op.shed_situations());
   EXPECT_EQ(snap.counters.at("robust.lost_match_upper_bound"),
             op.lost_match_upper_bound());
+}
+
+// The join core's window bounds (`ts + W`, `te - W`, `te - ts`) and the
+// purge horizon (`now - W`) saturate: with WITHIN near INT64_MAX the
+// window never binds, so a stream shifted next to either TimePoint limit
+// yields the same matches, shifted, as the stream at small timestamps.
+// Run under UBSan, any overflow in those bounds is reported.
+TEST(SaturatingTest, WindowBoundsNearTimeLimits) {
+  Schema schema({Field{"f", ValueType::kBool}, Field{"g", ValueType::kBool}});
+  QueryBuilder qb(schema);
+  qb.Define("A", FieldRef(0, "f"))
+      .Define("B", FieldRef(1, "g"))
+      .Relate("A", {Relation::kBefore, Relation::kOverlaps}, "B")
+      .Within(kMax - 7)
+      .ReturnStart("a_start", "A")
+      .ReturnEnd("b_end", "B")
+      .ReturnDuration("b_duration", "B")
+      .Return("n", "A", AggKind::kCount);
+  auto spec = qb.Build();
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+
+  constexpr int kEvents = 600;
+  std::mt19937_64 rng(3);
+  std::bernoulli_distribution flip(0.1);
+  std::vector<std::pair<bool, bool>> flags;
+  bool f = false;
+  bool g = false;
+  for (int i = 0; i < kEvents; ++i) {
+    if (flip(rng)) f = !f;
+    if (flip(rng)) g = !g;
+    flags.emplace_back(f, g);
+  }
+
+  // RETURN rows with every time value relative to `base`.
+  auto run = [&](TimePoint base, bool low_latency) {
+    std::vector<std::vector<int64_t>> rows;
+    TPStreamOperator::Options options;
+    options.low_latency = low_latency;
+    TPStreamOperator op(spec.value(), options, [&](const Event& e) {
+      rows.push_back({e.t - base, e.payload[0].AsInt() - base,
+                      e.payload[1].is_null() ? -1 : e.payload[1].AsInt() - base,
+                      e.payload[2].is_null() ? -1 : e.payload[2].AsInt(),
+                      e.payload[3].AsInt()});
+    });
+    for (int i = 0; i < kEvents; ++i) {
+      op.Push(Event({Value(flags[i].first), Value(flags[i].second)},
+                    base + i));
+    }
+    return rows;
+  };
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  for (bool low_latency : {true, false}) {
+    SCOPED_TRACE(low_latency ? "low-latency" : "baseline");
+    const auto reference = run(1, low_latency);
+    ASSERT_GT(reference.size(), 10u);
+    EXPECT_EQ(run(kMax - kEvents - 8, low_latency), reference);
+    EXPECT_EQ(run(kMin + 1, low_latency), reference);
+  }
 }
 
 }  // namespace
