@@ -10,9 +10,6 @@
 //                                  columnarly over the whole chunk at the
 //                                  machine's best SIMD tier, Process()
 //                                  consumes precomputed selection bitmaps
-//   deriver.bytecode_batch_scalar  same, pinned to TPSTREAM_SIMD=off —
-//                                  isolates the SIMD kernels' contribution
-//                                  from the SoA/batch restructuring
 //
 // The workload is derivation-bound by construction — predicates flip
 // rarely, so situation/matcher work is negligible and events/sec measures
@@ -23,11 +20,11 @@
 // `--json=FILE` writes a "tpstream-bench-compiled-v2" document, the input
 // of cmake/check_bench_regression.cmake and the format of the committed
 // BENCH_compiled.json baseline. v2 adds a top-level "cpus" count and a
-// per-run "simd_level" ("off"/"sse2"/"avx2"), which the gate uses to
-// apply SIMD-dependent floors only on machines that actually have the
-// kernels. The gate enforces per-run throughput floors plus the headline
-// invariant, computed from the fresh document alone:
-// eps(deriver.bytecode_batch) >= eps(deriver.interpreter) * 2.
+// per-run "simd_level" (the batch run's dispatched tier, "sse2"/"avx2";
+// "off" for the per-tuple runs, which run no columnar kernels). The gate
+// enforces per-run throughput floors plus the headline invariant,
+// computed from the fresh document alone:
+// eps(deriver.bytecode_batch) >= eps(deriver.interpreter) * 4.
 
 #include <chrono>
 #include <cstdint>
@@ -309,8 +306,6 @@ int Main(int argc, char** argv) {
   runs.push_back(best_of("deriver.bytecode", Mode::kBytecode, ""));
   runs.push_back(
       best_of("deriver.bytecode_batch", Mode::kBytecodeBatch, "native"));
-  runs.push_back(best_of("deriver.bytecode_batch_scalar",
-                         Mode::kBytecodeBatch, "off"));
 
   for (const RunResult& r : runs) {
     if (r.situations != runs[0].situations ||

@@ -60,21 +60,17 @@
 # (default 500% = 5x; the unshared side may be extrapolated from N = 100,
 # which the bench document marks with "extrapolated": true).
 #
-# Compiled checks (runs: deriver.{interpreter,bytecode,bytecode_batch,
-# bytecode_batch_scalar}; v2 adds a per-run "simd_level" and a top-level
-# "cpus"):
+# Compiled checks (runs: deriver.{interpreter,bytecode,bytecode_batch};
+# v2 adds a per-run "simd_level" and a top-level "cpus"):
 #   * events_per_sec >= baseline * (1 - THROUGHPUT_TOLERANCE_PCT%)
 # plus the headline ablation invariant, evaluated on CURRENT alone: the
 # columnar bytecode path must hold its advantage over the interpreter,
 #   eps(deriver.bytecode_batch) >=
-#       eps(deriver.interpreter) * <floor>%
-# where <floor> is COMPILED_SIMD_SPEEDUP_FLOOR_PCT (default 400% = 4x)
-# when the fresh batch run reports an active SIMD tier (simd_level other
-# than "off"), and COMPILED_SPEEDUP_FLOOR_PCT (default 200% = 2x) on
-# scalar-fallback machines — the raised floor only binds where the
-# kernels actually dispatched. The bench itself aborts if any mode
-# derives a different situation stream, so the gate only reasons about
-# speed.
+#       eps(deriver.interpreter) * COMPILED_SIMD_SPEEDUP_FLOOR_PCT%
+# (default 400% = 4x). The batch run always dispatches SIMD kernels (the
+# 128-bit tier is the portable floor), so the floor holds on every
+# machine. The bench itself aborts if any mode derives a different
+# situation stream, so the gate only reasons about speed.
 #
 # Checkpoint checks (runs: operator.steady / partitioned.k64 — periodic
 # checkpoints on a random-walk stream, bench_checkpoint):
@@ -157,11 +153,8 @@ endif()
 if(NOT DEFINED MULTIQUERY_SPEEDUP_FLOOR_PCT)
   set(MULTIQUERY_SPEEDUP_FLOOR_PCT 500)  # shared >= 5x unshared at N=10000
 endif()
-if(NOT DEFINED COMPILED_SPEEDUP_FLOOR_PCT)
-  set(COMPILED_SPEEDUP_FLOOR_PCT 200)  # batched bytecode >= 2x interpreter
-endif()
 if(NOT DEFINED COMPILED_SIMD_SPEEDUP_FLOOR_PCT)
-  set(COMPILED_SIMD_SPEEDUP_FLOOR_PCT 400)  # >= 4x when SIMD dispatched
+  set(COMPILED_SIMD_SPEEDUP_FLOOR_PCT 400)  # batched bytecode >= 4x interp
 endif()
 if(NOT DEFINED CHECKPOINT_P99_FACTOR_PCT)
   set(CHECKPOINT_P99_FACTOR_PCT 500)  # pause p99 <= 5x baseline
@@ -669,10 +662,7 @@ endif()
 
 # Ablation floor (compiled schema, CURRENT document only): batched
 # bytecode evaluation must hold its headline advantage over the tree
-# interpreter on the derivation-bound workload. The floor is raised when
-# the fresh run reports an active SIMD tier — only a machine that
-# actually dispatched the kernels is held to the kernel-level speedup;
-# scalar-fallback machines keep the portable 2x floor.
+# interpreter on the derivation-bound workload.
 if(schema STREQUAL "tpstream-bench-compiled-v2")
   string(JSON interp_eps ERROR_VARIABLE err_i GET "${current_doc}" runs
          deriver.interpreter events_per_sec)
@@ -691,26 +681,23 @@ if(schema STREQUAL "tpstream-bench-compiled-v2")
             "compiled document's deriver.bytecode_batch run has no "
             "simd_level (schema v2 requires it): ${err_simd}")
   endif()
-  if(batch_simd STREQUAL "off")
-    set(compiled_floor ${COMPILED_SPEEDUP_FLOOR_PCT})
-  else()
-    set(compiled_floor ${COMPILED_SIMD_SPEEDUP_FLOOR_PCT})
-  endif()
   to_micro("${interp_eps}" interp_u)
   to_micro("${batch_eps}" batch_u)
   math(EXPR lhs "${batch_u} * 100")
-  math(EXPR rhs "${interp_u} * ${compiled_floor}")
+  math(EXPR rhs "${interp_u} * ${COMPILED_SIMD_SPEEDUP_FLOOR_PCT}")
   if(lhs LESS rhs)
     message(SEND_ERROR
             "deriver.bytecode_batch: ablation floor missed — ${batch_eps} "
             "evt/s vs interpreter ${interp_eps} (need >= "
-            "${compiled_floor}% at simd_level '${batch_simd}')")
+            "${COMPILED_SIMD_SPEEDUP_FLOOR_PCT}% at simd_level "
+            "'${batch_simd}')")
     math(EXPR failures "${failures} + 1")
   else()
     message(STATUS
             "deriver.bytecode_batch: ${batch_eps} evt/s vs interpreter "
-            "${interp_eps} — ablation floor ${compiled_floor}% "
-            "(simd_level '${batch_simd}') met")
+            "${interp_eps} — ablation floor "
+            "${COMPILED_SIMD_SPEEDUP_FLOOR_PCT}% (simd_level "
+            "'${batch_simd}') met")
   endif()
 endif()
 

@@ -56,9 +56,10 @@ int main(int argc, char** argv) {
       std::printf(
           "t=%-7lld ALERT car=%lld avg_speed=%.1f mph peak_accel=%.1f "
           "m/s^2 (speeding since t=%lld, still ongoing)\n",
-          static_cast<long long>(alert.t), alert.payload[0].AsInt(),
+          static_cast<long long>(alert.t),
+          static_cast<long long>(alert.payload[0].AsInt()),
           alert.payload[1].ToDouble(), alert.payload[2].ToDouble(),
-          alert.payload[3].AsInt());
+          static_cast<long long>(alert.payload[3].AsInt()));
     }
   });
 

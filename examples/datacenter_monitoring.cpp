@@ -51,8 +51,10 @@ int main() {
     if (++incidents <= 8) {
       std::printf(
           "t=%-6lld INCIDENT host=%lld peak_temp=%.1fC burst_samples=%lld\n",
-          static_cast<long long>(incident.t), incident.payload[0].AsInt(),
-          incident.payload[1].ToDouble(), incident.payload[2].AsInt());
+          static_cast<long long>(incident.t),
+          static_cast<long long>(incident.payload[0].AsInt()),
+          incident.payload[1].ToDouble(),
+          static_cast<long long>(incident.payload[2].AsInt()));
     }
   });
 

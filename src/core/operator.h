@@ -44,9 +44,9 @@ class TPStreamOperator {
     /// default — the expression interpreter remains the semantic oracle;
     /// outputs are identical either way (differentially tested).
     bool compiled_predicates = false;
-    /// SIMD tier for columnar predicate evaluation ("off", "sse2",
-    /// "avx2", "native"); empty defers to TPSTREAM_SIMD, then the
-    /// machine default. See DeriveOptions::simd.
+    /// SIMD tier for columnar predicate evaluation ("sse2", "avx2",
+    /// "native"); empty defers to TPSTREAM_SIMD, then the machine
+    /// default. See DeriveOptions::simd.
     std::string simd;
     /// When set, pins the evaluation order and disables adaptivity (used
     /// by the plan-quality experiments).

@@ -30,12 +30,13 @@ struct DeriveOptions {
   /// interpreter.
   bool compiled_predicates = false;
 
-  /// SIMD tier for columnar batch evaluation: "off", "sse2", "avx2" or
-  /// "native" (best the machine supports). Empty defers to the
-  /// TPSTREAM_SIMD environment variable, then the machine default.
-  /// Requests above the machine's capability clamp down; unparsable
-  /// values fall back to the default. Only meaningful with
-  /// `compiled_predicates` — result bits are identical at every level.
+  /// SIMD tier for columnar batch evaluation: "sse2" (the portable
+  /// 128-bit floor), "avx2" or "native" (best the machine supports).
+  /// Empty defers to the TPSTREAM_SIMD environment variable, then the
+  /// machine default. Requests above the machine's capability clamp
+  /// down; unparsable values (including the retired "off") fall back to
+  /// the default. Only meaningful with `compiled_predicates` — result
+  /// bits are identical at every level.
   std::string simd;
 };
 
@@ -138,9 +139,9 @@ class Deriver {
   int64_t program_cache_hits() const { return program_cache_hits_; }
   bool compiled() const { return options_.compiled_predicates; }
 
-  /// Active SIMD tier name for columnar evaluation ("off" when not in
-  /// compiled mode, else "off"/"sse2"/"avx2" after clamping the request
-  /// to machine capability).
+  /// Active SIMD tier name for columnar evaluation: "sse2"/"avx2" after
+  /// clamping the request to machine capability, or "off" when
+  /// predicates are not compiled.
   const char* simd_level() const {
     return options_.compiled_predicates
                ? simd::SimdLevelName(simd::Effective(exec_scratch_.simd))

@@ -1,6 +1,7 @@
 #include "expr/bytecode.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -114,6 +115,27 @@ inline RegSlot NumericSlotOp(const RegSlot& a, const RegSlot& b,
   return DoubleSlot(double_op(SlotToDouble(a), SlotToDouble(b)));
 }
 
+/// kAdd / kSub / kMul on two slots.
+inline RegSlot SlotArith(OpCode op, const RegSlot& a, const RegSlot& b) {
+  switch (op) {
+    case OpCode::kAdd:
+      return NumericSlotOp(a, b, WrapAdd,
+                           [](double x, double y) { return x + y; });
+    case OpCode::kSub:
+      return NumericSlotOp(a, b, WrapSub,
+                           [](double x, double y) { return x - y; });
+    default:  // kMul
+      return NumericSlotOp(a, b, WrapMul,
+                           [](double x, double y) { return x * y; });
+  }
+}
+
+inline RegSlot SlotNeg(const RegSlot& s) {
+  if (s.type == ValueType::kInt) return IntSlot(WrapNeg(s.v.i));
+  if (s.type == ValueType::kDouble) return DoubleSlot(-s.v.d);
+  return RegSlot{};
+}
+
 inline RegSlot SlotDiv(const RegSlot& a, const RegSlot& b) {
   if (!IsNumeric(a.type) || !IsNumeric(b.type)) return RegSlot{};
   const double y = SlotToDouble(b);
@@ -175,53 +197,41 @@ inline OpCode FusedCmpBase(OpCode op) {
                               static_cast<int>(OpCode::kCmpEqFC)));
 }
 
-/// Strided comparison loop for the columnar executor: the opcode switch
-/// runs once per batch (selecting `pred`), not once per row. Stride 0
-/// broadcasts a scalar (a fused constant, or a null for an absent
-/// column).
+/// Comparison loop for the columnar fallback: the opcode switch runs once
+/// per batch (selecting `pred`), not once per row. `b_stride` 0
+/// broadcasts a scalar (a fused constant).
 template <typename Pred>
-inline void CmpLoop(const RegSlot* a, size_t a_stride, const RegSlot* b,
-                    size_t b_stride, RegSlot* d, size_t rows, Pred pred) {
+inline void CmpLoop(const RegSlot* a, const RegSlot* b, size_t b_stride,
+                    RegSlot* d, size_t rows, Pred pred) {
   for (size_t r = 0; r < rows; ++r) {
-    const int c = SlotCompare(a[r * a_stride], b[r * b_stride]);
+    const int c = SlotCompare(a[r], b[r * b_stride]);
     d[r] = c == Value::kIncomparable ? RegSlot{} : BoolSlot(pred(c));
   }
 }
 
-inline void CmpColumns(OpCode base, const RegSlot* a, size_t a_stride,
-                       const RegSlot* b, size_t b_stride, RegSlot* d,
-                       size_t rows) {
+inline void CmpColumns(OpCode base, const RegSlot* a, const RegSlot* b,
+                       size_t b_stride, RegSlot* d, size_t rows) {
   switch (base) {
     case OpCode::kCmpEq:
-      CmpLoop(a, a_stride, b, b_stride, d, rows,
-              [](int c) { return c == 0; });
+      CmpLoop(a, b, b_stride, d, rows, [](int c) { return c == 0; });
       break;
     case OpCode::kCmpNe:
-      CmpLoop(a, a_stride, b, b_stride, d, rows,
-              [](int c) { return c != 0; });
+      CmpLoop(a, b, b_stride, d, rows, [](int c) { return c != 0; });
       break;
     case OpCode::kCmpLt:
-      CmpLoop(a, a_stride, b, b_stride, d, rows,
-              [](int c) { return c < 0; });
+      CmpLoop(a, b, b_stride, d, rows, [](int c) { return c < 0; });
       break;
     case OpCode::kCmpLe:
-      CmpLoop(a, a_stride, b, b_stride, d, rows,
-              [](int c) { return c <= 0; });
+      CmpLoop(a, b, b_stride, d, rows, [](int c) { return c <= 0; });
       break;
     case OpCode::kCmpGt:
-      CmpLoop(a, a_stride, b, b_stride, d, rows,
-              [](int c) { return c > 0; });
+      CmpLoop(a, b, b_stride, d, rows, [](int c) { return c > 0; });
       break;
     default:  // kCmpGe
-      CmpLoop(a, a_stride, b, b_stride, d, rows,
-              [](int c) { return c >= 0; });
+      CmpLoop(a, b, b_stride, d, rows, [](int c) { return c >= 0; });
       break;
   }
 }
-
-// --- Type-specialized columnar kernels ----------------------------------
-// Selected when a column's ColClass proves every slot shares a type; each
-// kernel is elementwise-exact, so class tracking can be conservative.
 
 inline ColClass ClassOfType(ValueType t) {
   switch (t) {
@@ -233,116 +243,6 @@ inline ColClass ClassOfType(ValueType t) {
       return ColClass::kBool;
     default:
       return ColClass::kMixed;
-  }
-}
-
-/// Instantiates `f` with the relational predicate `base` stands for, as a
-/// generic lambda — int64 pairs compare in the integer domain, widened
-/// pairs as doubles, exactly like SlotCompare's two numeric branches.
-template <typename F>
-inline void WithCmpPred(OpCode base, F f) {
-  switch (base) {
-    case OpCode::kCmpEq:
-      f([](auto x, auto y) { return x == y; });
-      break;
-    case OpCode::kCmpNe:
-      f([](auto x, auto y) { return x != y; });
-      break;
-    case OpCode::kCmpLt:
-      f([](auto x, auto y) { return x < y; });
-      break;
-    case OpCode::kCmpLe:
-      f([](auto x, auto y) { return x <= y; });
-      break;
-    case OpCode::kCmpGt:
-      f([](auto x, auto y) { return x > y; });
-      break;
-    default:  // kCmpGe
-      f([](auto x, auto y) { return x >= y; });
-      break;
-  }
-}
-
-template <typename Pred>
-inline void CmpLoopII(const RegSlot* a, const RegSlot* b, size_t bs,
-                      RegSlot* d, size_t rows, Pred pred) {
-  for (size_t r = 0; r < rows; ++r) {
-    d[r] = BoolSlot(pred(a[r].v.i, b[r * bs].v.i));
-  }
-}
-
-/// Widened numeric comparison; the NaN guard reproduces SlotCompare's
-/// incomparable (null) result bit-for-bit. The `*_int` flags are
-/// loop-invariant, so the conversions hoist.
-template <typename Pred>
-inline void CmpLoopNumeric(const RegSlot* a, bool a_int, const RegSlot* b,
-                           size_t bs, bool b_int, RegSlot* d, size_t rows,
-                           Pred pred) {
-  for (size_t r = 0; r < rows; ++r) {
-    const double x = a_int ? static_cast<double>(a[r].v.i) : a[r].v.d;
-    const double y =
-        b_int ? static_cast<double>(b[r * bs].v.i) : b[r * bs].v.d;
-    d[r] = (x != x || y != y) ? RegSlot{} : BoolSlot(pred(x, y));
-  }
-}
-
-template <typename Pred>
-inline void CmpLoopBB(const RegSlot* a, const RegSlot* b, size_t bs,
-                      RegSlot* d, size_t rows, Pred pred) {
-  for (size_t r = 0; r < rows; ++r) {
-    // SlotCompare on two bools is (a?1:0) - (b?1:0); eq/ne reduce to the
-    // direct bool comparison.
-    d[r] = BoolSlot(pred(a[r].v.b ? 1 : 0, b[r * bs].v.b ? 1 : 0));
-  }
-}
-
-/// Fast comparison over typed columns. Returns false when no specialized
-/// kernel applies (caller falls back to the generic loop); on success
-/// *result_class is the uniformity class of `d` (kBool when no row can
-/// be null — int/int and bool eq/ne — else kMixed, since widened NaN
-/// rows produce nulls).
-inline bool CmpColumnsFast(OpCode base, const RegSlot* a, ColClass ac,
-                           const RegSlot* b, size_t bs, ColClass bc,
-                           RegSlot* d, size_t rows,
-                           ColClass* result_class) {
-  if (ac == ColClass::kBool && bc == ColClass::kBool &&
-      (base == OpCode::kCmpEq || base == OpCode::kCmpNe)) {
-    if (base == OpCode::kCmpEq) {
-      CmpLoopBB(a, b, bs, d, rows, [](int x, int y) { return x == y; });
-    } else {
-      CmpLoopBB(a, b, bs, d, rows, [](int x, int y) { return x != y; });
-    }
-    *result_class = ColClass::kBool;
-    return true;
-  }
-  const bool a_num = ac == ColClass::kInt || ac == ColClass::kDouble;
-  const bool b_num = bc == ColClass::kInt || bc == ColClass::kDouble;
-  if (!a_num || !b_num) return false;
-  if (ac == ColClass::kInt && bc == ColClass::kInt) {
-    WithCmpPred(base,
-                [&](auto pred) { CmpLoopII(a, b, bs, d, rows, pred); });
-    *result_class = ColClass::kBool;
-  } else {
-    WithCmpPred(base, [&](auto pred) {
-      CmpLoopNumeric(a, ac == ColClass::kInt, b, bs, bc == ColClass::kInt,
-                     d, rows, pred);
-    });
-    *result_class = ColClass::kMixed;
-  }
-  return true;
-}
-
-/// Widening add/sub/mul over numeric columns (at least one double):
-/// always produces doubles, NaN/inf propagating exactly as the scalar
-/// double op does.
-template <typename DoubleOp>
-inline void ArithWidenLoop(const RegSlot* a, bool a_int, const RegSlot* b,
-                           bool b_int, RegSlot* d, size_t rows,
-                           DoubleOp op) {
-  for (size_t r = 0; r < rows; ++r) {
-    const double x = a_int ? static_cast<double>(a[r].v.i) : a[r].v.d;
-    const double y = b_int ? static_cast<double>(b[r].v.i) : b[r].v.d;
-    d[r] = DoubleSlot(op(x, y));
   }
 }
 
@@ -532,17 +432,9 @@ RegSlot BytecodeProgram::Exec(ExecScratch* scratch,
       case OpCode::kNot:
         regs[in.dst] = BoolSlot(!SlotTruthy(regs[in.a]));
         break;
-      case OpCode::kNeg: {
-        const RegSlot& src = regs[in.a];
-        if (src.type == ValueType::kInt) {
-          regs[in.dst] = IntSlot(WrapNeg(src.v.i));
-        } else if (src.type == ValueType::kDouble) {
-          regs[in.dst] = DoubleSlot(-src.v.d);
-        } else {
-          regs[in.dst] = RegSlot{};
-        }
+      case OpCode::kNeg:
+        regs[in.dst] = SlotNeg(regs[in.a]);
         break;
-      }
       case OpCode::kJump:
         pc = in.b;
         continue;
@@ -588,311 +480,89 @@ bool BytecodeProgram::RunPredicate(const Tuple& tuple) const {
 
 namespace {
 
-/// One non-control-flow instruction of the flat stream over the AoS
-/// (RegSlot-column) register file. This is the scalar columnar
-/// executor's body, and doubles as the SoA executor's per-instruction
-/// fallback for mixed-typed registers — shared so the two paths cannot
-/// drift semantically.
+/// One instruction of the flat stream over the AoS (RegSlot-column)
+/// register file, row by row through the same slot operations as Exec.
+/// This is the SoA executor's fallback for registers whose rows do not
+/// share one type (mixed-type field columns and what is computed from
+/// them); every typed case runs through the SIMD kernels instead. Loads
+/// are never delegated (SoaExec keeps them as views), and the flat stream
+/// has no control flow.
 void ExecColumnInstr(const Instr& in, const ColumnarBatch& batch,
-                     const RegSlot* consts, RegSlot* regs, ColClass* rc,
-                     size_t rows) {
-  const RegSlot null_slot{};
-  RegSlot* const d = regs + static_cast<size_t>(in.dst) * rows;
-  {
-    switch (in.op) {
-      case OpCode::kLoadConst: {
-        const RegSlot k = consts[in.a];
-        std::fill(d, d + rows, k);
-        rc[in.dst] = ClassOfType(k.type);
-        break;
-      }
-      case OpCode::kLoadField: {
-        const RegSlot* src = batch.ColumnPtr(in.a);
-        if (src != nullptr) {
-          std::copy(src, src + rows, d);
-          rc[in.dst] = batch.ColumnClass(in.a);
-        } else {
-          std::fill(d, d + rows, null_slot);
-          rc[in.dst] = ColClass::kMixed;
-        }
-        break;
-      }
-      case OpCode::kAdd:
-      case OpCode::kSub:
-      case OpCode::kMul: {
-        const RegSlot* a = regs + static_cast<size_t>(in.a) * rows;
-        const RegSlot* b = regs + static_cast<size_t>(in.b) * rows;
-        const ColClass ac = rc[in.a];
-        const ColClass bc = rc[in.b];
-        if (ac == ColClass::kInt && bc == ColClass::kInt) {
-          if (in.op == OpCode::kAdd) {
-            for (size_t r = 0; r < rows; ++r) {
-              d[r] = IntSlot(WrapAdd(a[r].v.i, b[r].v.i));
-            }
-          } else if (in.op == OpCode::kSub) {
-            for (size_t r = 0; r < rows; ++r) {
-              d[r] = IntSlot(WrapSub(a[r].v.i, b[r].v.i));
-            }
-          } else {
-            for (size_t r = 0; r < rows; ++r) {
-              d[r] = IntSlot(WrapMul(a[r].v.i, b[r].v.i));
-            }
-          }
-          rc[in.dst] = ColClass::kInt;
-        } else if ((ac == ColClass::kInt || ac == ColClass::kDouble) &&
-                   (bc == ColClass::kInt || bc == ColClass::kDouble)) {
-          const bool ai = ac == ColClass::kInt;
-          const bool bi = bc == ColClass::kInt;
-          if (in.op == OpCode::kAdd) {
-            ArithWidenLoop(a, ai, b, bi, d, rows,
-                           [](double x, double y) { return x + y; });
-          } else if (in.op == OpCode::kSub) {
-            ArithWidenLoop(a, ai, b, bi, d, rows,
-                           [](double x, double y) { return x - y; });
-          } else {
-            ArithWidenLoop(a, ai, b, bi, d, rows,
-                           [](double x, double y) { return x * y; });
-          }
-          rc[in.dst] = ColClass::kDouble;
-        } else {
-          if (in.op == OpCode::kAdd) {
-            for (size_t r = 0; r < rows; ++r) {
-              d[r] = NumericSlotOp(a[r], b[r], WrapAdd,
-                                   [](double x, double y) { return x + y; });
-            }
-          } else if (in.op == OpCode::kSub) {
-            for (size_t r = 0; r < rows; ++r) {
-              d[r] = NumericSlotOp(a[r], b[r], WrapSub,
-                                   [](double x, double y) { return x - y; });
-            }
-          } else {
-            for (size_t r = 0; r < rows; ++r) {
-              d[r] = NumericSlotOp(a[r], b[r], WrapMul,
-                                   [](double x, double y) { return x * y; });
-            }
-          }
-          rc[in.dst] = ColClass::kMixed;
-        }
-        break;
-      }
-      case OpCode::kDiv: {
-        const RegSlot* a = regs + static_cast<size_t>(in.a) * rows;
-        const RegSlot* b = regs + static_cast<size_t>(in.b) * rows;
-        if (rc[in.a] == ColClass::kDouble && rc[in.b] == ColClass::kDouble) {
-          bool saw_zero = false;
-          for (size_t r = 0; r < rows; ++r) {
-            const double y = b[r].v.d;
-            saw_zero |= y == 0.0;
-            d[r] = y == 0.0 ? RegSlot{} : DoubleSlot(a[r].v.d / y);
-          }
-          rc[in.dst] = saw_zero ? ColClass::kMixed : ColClass::kDouble;
-        } else {
-          for (size_t r = 0; r < rows; ++r) d[r] = SlotDiv(a[r], b[r]);
-          rc[in.dst] = ColClass::kMixed;
-        }
-        break;
-      }
-      case OpCode::kCmpEq:
-      case OpCode::kCmpNe:
-      case OpCode::kCmpLt:
-      case OpCode::kCmpLe:
-      case OpCode::kCmpGt:
-      case OpCode::kCmpGe: {
-        const RegSlot* a = regs + static_cast<size_t>(in.a) * rows;
-        const RegSlot* b = regs + static_cast<size_t>(in.b) * rows;
-        const ColClass ac = rc[in.a];
-        const ColClass bc = rc[in.b];
-        if (ColClass cls; CmpColumnsFast(in.op, a, ac, b, 1, bc, d, rows,
-                                         &cls)) {
-          rc[in.dst] = cls;
-        } else {
-          CmpColumns(in.op, a, 1, b, 1, d, rows);
-          rc[in.dst] = ColClass::kMixed;
-        }
-        break;
-      }
-      case OpCode::kCmpEqFC:
-      case OpCode::kCmpNeFC:
-      case OpCode::kCmpLtFC:
-      case OpCode::kCmpLeFC:
-      case OpCode::kCmpGtFC:
-      case OpCode::kCmpGeFC: {
-        const OpCode base = FusedCmpBase(in.op);
-        const RegSlot k = consts[in.b];
-        const RegSlot* src = batch.ColumnPtr(in.a);
-        if (src == nullptr) {
-          CmpColumns(base, &null_slot, 0, &k, 0, d, rows);
-          rc[in.dst] = ColClass::kMixed;
-          break;
-        }
-        const ColClass sc = batch.ColumnClass(in.a);
-        const ColClass kc = ClassOfType(k.type);
-        if (ColClass cls; CmpColumnsFast(base, src, sc, &k, 0, kc, d, rows,
-                                         &cls)) {
-          rc[in.dst] = cls;
-        } else {
-          CmpColumns(base, src, 1, &k, 0, d, rows);
-          rc[in.dst] = ColClass::kMixed;
-        }
-        break;
-      }
-      case OpCode::kTruthy: {
-        const RegSlot* a = regs + static_cast<size_t>(in.a) * rows;
-        switch (rc[in.a]) {
-          case ColClass::kBool:
-            std::copy(a, a + rows, d);
-            break;
-          case ColClass::kInt:
-            for (size_t r = 0; r < rows; ++r) {
-              d[r] = BoolSlot(a[r].v.i != 0);
-            }
-            break;
-          case ColClass::kDouble:
-            // NaN != 0.0 is true, exactly SlotTruthy on a NaN double.
-            for (size_t r = 0; r < rows; ++r) {
-              d[r] = BoolSlot(a[r].v.d != 0.0);
-            }
-            break;
-          default:
-            for (size_t r = 0; r < rows; ++r) {
-              d[r] = BoolSlot(SlotTruthy(a[r]));
-            }
-            break;
-        }
-        rc[in.dst] = ColClass::kBool;
-        break;
-      }
-      case OpCode::kNot: {
-        const RegSlot* a = regs + static_cast<size_t>(in.a) * rows;
-        if (rc[in.a] == ColClass::kBool) {
-          for (size_t r = 0; r < rows; ++r) d[r] = BoolSlot(!a[r].v.b);
-        } else {
-          for (size_t r = 0; r < rows; ++r) {
-            d[r] = BoolSlot(!SlotTruthy(a[r]));
-          }
-        }
-        rc[in.dst] = ColClass::kBool;
-        break;
-      }
-      case OpCode::kNeg: {
-        const RegSlot* a = regs + static_cast<size_t>(in.a) * rows;
-        if (rc[in.a] == ColClass::kDouble) {
-          for (size_t r = 0; r < rows; ++r) d[r] = DoubleSlot(-a[r].v.d);
-          rc[in.dst] = ColClass::kDouble;
-        } else if (rc[in.a] == ColClass::kInt) {
-          for (size_t r = 0; r < rows; ++r) {
-            d[r] = IntSlot(WrapNeg(a[r].v.i));
-          }
-          rc[in.dst] = ColClass::kInt;
-        } else {
-          for (size_t r = 0; r < rows; ++r) {
-            const RegSlot& src = a[r];
-            if (src.type == ValueType::kInt) {
-              d[r] = IntSlot(WrapNeg(src.v.i));
-            } else if (src.type == ValueType::kDouble) {
-              d[r] = DoubleSlot(-src.v.d);
-            } else {
-              d[r] = RegSlot{};
-            }
-          }
-          rc[in.dst] = ColClass::kMixed;
-        }
-        break;
-      }
-      case OpCode::kAndEager: {
-        const RegSlot* a = regs + static_cast<size_t>(in.a) * rows;
-        const RegSlot* b = regs + static_cast<size_t>(in.b) * rows;
-        if (rc[in.a] == ColClass::kBool && rc[in.b] == ColClass::kBool) {
-          for (size_t r = 0; r < rows; ++r) {
-            d[r] = BoolSlot(a[r].v.b && b[r].v.b);
-          }
-        } else {
-          for (size_t r = 0; r < rows; ++r) {
-            d[r] = BoolSlot(SlotTruthy(a[r]) && SlotTruthy(b[r]));
-          }
-        }
-        rc[in.dst] = ColClass::kBool;
-        break;
-      }
-      case OpCode::kOrEager: {
-        const RegSlot* a = regs + static_cast<size_t>(in.a) * rows;
-        const RegSlot* b = regs + static_cast<size_t>(in.b) * rows;
-        if (rc[in.a] == ColClass::kBool && rc[in.b] == ColClass::kBool) {
-          for (size_t r = 0; r < rows; ++r) {
-            d[r] = BoolSlot(a[r].v.b || b[r].v.b);
-          }
-        } else {
-          for (size_t r = 0; r < rows; ++r) {
-            d[r] = BoolSlot(SlotTruthy(a[r]) || SlotTruthy(b[r]));
-          }
-        }
-        rc[in.dst] = ColClass::kBool;
-        break;
-      }
-      case OpCode::kRet:
-      case OpCode::kJump:
-      case OpCode::kJumpIfFalsy:
-      case OpCode::kJumpIfTruthy:
-        // Control flow is handled by the executors themselves.
-        break;
+                     const RegSlot* consts, RegSlot* regs, size_t rows) {
+  auto reg = [&](uint16_t r) { return regs + static_cast<size_t>(r) * rows; };
+  RegSlot* const d = reg(in.dst);
+  switch (in.op) {
+    case OpCode::kAdd:
+    case OpCode::kSub:
+    case OpCode::kMul: {
+      const RegSlot* a = reg(in.a);
+      const RegSlot* b = reg(in.b);
+      for (size_t r = 0; r < rows; ++r) d[r] = SlotArith(in.op, a[r], b[r]);
+      break;
     }
+    case OpCode::kDiv: {
+      const RegSlot* a = reg(in.a);
+      const RegSlot* b = reg(in.b);
+      for (size_t r = 0; r < rows; ++r) d[r] = SlotDiv(a[r], b[r]);
+      break;
+    }
+    case OpCode::kCmpEq:
+    case OpCode::kCmpNe:
+    case OpCode::kCmpLt:
+    case OpCode::kCmpLe:
+    case OpCode::kCmpGt:
+    case OpCode::kCmpGe:
+      CmpColumns(in.op, reg(in.a), reg(in.b), 1, d, rows);
+      break;
+    case OpCode::kCmpEqFC:
+    case OpCode::kCmpNeFC:
+    case OpCode::kCmpLtFC:
+    case OpCode::kCmpLeFC:
+    case OpCode::kCmpGtFC:
+    case OpCode::kCmpGeFC: {
+      // SoaExec::CmpFC resolves an absent column to a null splat itself.
+      const RegSlot* src = batch.ColumnPtr(in.a);
+      assert(src != nullptr);
+      CmpColumns(FusedCmpBase(in.op), src, &consts[in.b], 0, d, rows);
+      break;
+    }
+    case OpCode::kTruthy:
+    case OpCode::kNot: {
+      const RegSlot* a = reg(in.a);
+      const bool negate = in.op == OpCode::kNot;
+      for (size_t r = 0; r < rows; ++r) {
+        d[r] = BoolSlot(SlotTruthy(a[r]) != negate);
+      }
+      break;
+    }
+    case OpCode::kNeg: {
+      const RegSlot* a = reg(in.a);
+      for (size_t r = 0; r < rows; ++r) d[r] = SlotNeg(a[r]);
+      break;
+    }
+    case OpCode::kAndEager:
+    case OpCode::kOrEager: {
+      const RegSlot* a = reg(in.a);
+      const RegSlot* b = reg(in.b);
+      const bool is_and = in.op == OpCode::kAndEager;
+      for (size_t r = 0; r < rows; ++r) {
+        const bool ta = SlotTruthy(a[r]);
+        const bool tb = SlotTruthy(b[r]);
+        d[r] = BoolSlot(is_and ? ta && tb : ta || tb);
+      }
+      break;
+    }
+    default:  // loads and control flow, see above
+      break;
   }
 }
-
-}  // namespace
-
-void BytecodeProgram::RunColumnScalar(const ColumnarBatch& batch,
-                                      ExecScratch* scratch,
-                                      uint8_t* out) const {
-  const size_t rows = batch.num_rows();
-  // Column-major register file: register r is cols[r*rows .. r*rows+rows),
-  // with a uniformity class per register selecting specialized kernels.
-  const size_t need = static_cast<size_t>(flat_num_regs_) * rows;
-  if (scratch->cols.size() < need) scratch->cols.resize(need);
-  scratch->reg_class.assign(static_cast<size_t>(flat_num_regs_),
-                            ColClass::kMixed);
-  RegSlot* const regs = scratch->cols.data();
-  ColClass* const rc = scratch->reg_class.data();
-  const RegSlot* consts = const_slots_.data();
-  for (const Instr& in : flat_code_) {
-    switch (in.op) {
-      case OpCode::kRet: {
-        const RegSlot* a = regs + static_cast<size_t>(in.a) * rows;
-        if (rc[in.a] == ColClass::kBool) {
-          for (size_t r = 0; r < rows; ++r) out[r] = a[r].v.b ? 1 : 0;
-        } else {
-          for (size_t r = 0; r < rows; ++r) {
-            out[r] = SlotTruthy(a[r]) ? 1 : 0;
-          }
-        }
-        return;
-      }
-      case OpCode::kJump:
-      case OpCode::kJumpIfFalsy:
-      case OpCode::kJumpIfTruthy: {
-        // Unreachable: the flat lowering is branch-free by construction.
-        // Fall back to per-row scalar execution rather than misexecute.
-        for (size_t row = 0; row < rows; ++row) {
-          out[row] = SlotTruthy(
-              Exec(scratch, [&](int f) { return batch.Cell(f, row); }));
-        }
-        return;
-      }
-      default:
-        ExecColumnInstr(in, batch, consts, regs, rc, rows);
-        break;
-    }
-  }
-}
-
-namespace {
 
 // --- SoA columnar executor ----------------------------------------------
 // Registers hold SoaView representations (splat / dense typed column /
 // AoS fallback); typed rows run through the dispatched SIMD kernel
 // table, and any register that degrades to per-row typing falls back to
-// ExecColumnInstr on the RegSlot register file — the exact scalar path,
-// so the two executors cannot drift.
+// ExecColumnInstr on the RegSlot register file, which runs the same slot
+// operations as the per-tuple Exec.
 //
 // Aliasing discipline: a view's pointers reference either ColumnarBatch
 // storage (immutable for the run) or the register's *own* scratch
@@ -922,7 +592,6 @@ struct SoaExec {
   const RegSlot* consts;
   const size_t rows;
   RegSlot* aos;       // AoS fallback register file (scratch->cols)
-  ColClass* rc;       // its per-register uniformity class
   SoaView* v;
   uint64_t* lanes;    // value lanes, rows per register
   uint8_t* bytes;     // bool/null bytes, 2*rows per register
@@ -993,7 +662,6 @@ struct SoaExec {
     RegSlot* d = aos + static_cast<size_t>(r) * rows;
     if (w.splat) {
       std::fill(d, d + rows, w.splat_val);
-      rc[r] = ClassOfType(w.splat_val.type);
     } else {
       const uint8_t* nn = w.null;
       switch (w.cls) {
@@ -1019,24 +687,23 @@ struct SoaExec {
           break;
         }
       }
-      rc[r] = nn == nullptr ? w.cls : ColClass::kMixed;
     }
     v[r] = SoaView{};
   }
 
   void Fallback1(const Instr& in) {
     ToAos(in.a);
-    ExecColumnInstr(in, batch, consts, aos, rc, rows);
+    ExecColumnInstr(in, batch, consts, aos, rows);
     v[in.dst] = SoaView{};
   }
   void Fallback2(const Instr& in) {
     ToAos(in.a);
     ToAos(in.b);
-    ExecColumnInstr(in, batch, consts, aos, rc, rows);
+    ExecColumnInstr(in, batch, consts, aos, rows);
     v[in.dst] = SoaView{};
   }
   void FallbackFC(const Instr& in) {
-    ExecColumnInstr(in, batch, consts, aos, rc, rows);
+    ExecColumnInstr(in, batch, consts, aos, rows);
     v[in.dst] = SoaView{};
   }
 
@@ -1151,29 +818,14 @@ struct SoaExec {
     }
     RegSlot* d = aos + static_cast<size_t>(in.dst) * rows;
     std::copy(src, src + rows, d);
-    rc[in.dst] = ColClass::kMixed;
     v[in.dst] = SoaView{};
-  }
-
-  static RegSlot ScalarArith(OpCode op, const RegSlot& a, const RegSlot& b) {
-    switch (op) {
-      case OpCode::kAdd:
-        return NumericSlotOp(a, b, WrapAdd,
-                             [](double x, double y) { return x + y; });
-      case OpCode::kSub:
-        return NumericSlotOp(a, b, WrapSub,
-                             [](double x, double y) { return x - y; });
-      default:  // kMul
-        return NumericSlotOp(a, b, WrapMul,
-                             [](double x, double y) { return x * y; });
-    }
   }
 
   void Arith(const Instr& in) {
     const SoaView& wa = v[in.a];
     const SoaView& wb = v[in.b];
     if (wa.splat && wb.splat) {
-      SplatOut(in.dst, ScalarArith(in.op, wa.splat_val, wb.splat_val));
+      SplatOut(in.dst, SlotArith(in.op, wa.splat_val, wb.splat_val));
       return;
     }
     if (InAos(wa) || InAos(wb)) {
@@ -1241,14 +893,7 @@ struct SoaExec {
   void Neg(const Instr& in) {
     const SoaView& wa = v[in.a];
     if (wa.splat) {
-      const RegSlot& s = wa.splat_val;
-      RegSlot r;
-      if (s.type == ValueType::kInt) {
-        r = IntSlot(WrapNeg(s.v.i));
-      } else if (s.type == ValueType::kDouble) {
-        r = DoubleSlot(-s.v.d);
-      }
-      SplatOut(in.dst, r);
+      SplatOut(in.dst, SlotNeg(wa.splat_val));
       return;
     }
     if (InAos(wa)) {
@@ -1471,13 +1116,7 @@ struct SoaExec {
       p = tmp;
     } else if (InAos(wa)) {
       const RegSlot* a = aos + static_cast<size_t>(in.a) * rows;
-      if (rc[in.a] == ColClass::kBool) {
-        for (size_t r = 0; r < rows; ++r) tmp[r] = a[r].v.b ? 1 : 0;
-      } else {
-        for (size_t r = 0; r < rows; ++r) {
-          tmp[r] = SlotTruthy(a[r]) ? 1 : 0;
-        }
-      }
+      for (size_t r = 0; r < rows; ++r) tmp[r] = SlotTruthy(a[r]) ? 1 : 0;
       p = tmp;
     } else {
       p = BoolBytes(in.a, tmp);
@@ -1501,7 +1140,6 @@ void BytecodeProgram::RunColumnSoa(const ColumnarBatch& batch,
   if (scratch->cols.size() < nregs * rows) {
     scratch->cols.resize(nregs * rows);
   }
-  scratch->reg_class.assign(nregs, ColClass::kMixed);
   scratch->soa_view.assign(nregs, SoaView{});
   if (scratch->soa_lanes.size() < nregs * rows) {
     scratch->soa_lanes.resize(nregs * rows);
@@ -1518,7 +1156,6 @@ void BytecodeProgram::RunColumnSoa(const ColumnarBatch& batch,
              const_slots_.data(),
              rows,
              scratch->cols.data(),
-             scratch->reg_class.data(),
              scratch->soa_view.data(),
              scratch->soa_lanes.data(),
              scratch->soa_bytes.data(),
@@ -1578,8 +1215,8 @@ void BytecodeProgram::RunColumnSoa(const ColumnarBatch& batch,
       case OpCode::kJump:
       case OpCode::kJumpIfFalsy:
       case OpCode::kJumpIfTruthy: {
-        // Unreachable (flat stream is branch-free); per-row scalar
-        // fallback, as in RunColumnScalar.
+        // Unreachable: the flat lowering is branch-free by construction.
+        // Fall back to per-row scalar execution rather than misexecute.
         uint8_t* tmp = out_bytes != nullptr ? out_bytes : ret_tmp;
         for (size_t row = 0; row < rows; ++row) {
           tmp[row] = SlotTruthy(Exec(scratch, [&](int f) {
@@ -1599,30 +1236,15 @@ void BytecodeProgram::RunPredicateColumn(const ColumnarBatch& batch,
                                          ExecScratch* scratch,
                                          uint8_t* out) const {
   if (batch.num_rows() == 0) return;
-  if (const simd::Kernels* k = simd::KernelsFor(scratch->simd)) {
-    RunColumnSoa(batch, scratch, *k, out, nullptr);
-  } else {
-    RunColumnScalar(batch, scratch, out);
-  }
+  RunColumnSoa(batch, scratch, simd::KernelsFor(scratch->simd), out, nullptr);
 }
 
 void BytecodeProgram::RunPredicateColumnBits(const ColumnarBatch& batch,
                                              ExecScratch* scratch,
                                              uint64_t* out_words) const {
-  const size_t rows = batch.num_rows();
-  if (rows == 0) return;
-  if (const simd::Kernels* k = simd::KernelsFor(scratch->simd)) {
-    RunColumnSoa(batch, scratch, *k, nullptr, out_words);
-    return;
-  }
-  if (scratch->byte_tmp.size() < rows) scratch->byte_tmp.resize(rows);
-  uint8_t* const tmp = scratch->byte_tmp.data();
-  RunColumnScalar(batch, scratch, tmp);
-  const size_t words = (rows + 63) / 64;
-  for (size_t w = 0; w < words; ++w) out_words[w] = 0;
-  for (size_t r = 0; r < rows; ++r) {
-    out_words[r >> 6] |= static_cast<uint64_t>(tmp[r] & 1) << (r & 63);
-  }
+  if (batch.num_rows() == 0) return;
+  RunColumnSoa(batch, scratch, simd::KernelsFor(scratch->simd), nullptr,
+               out_words);
 }
 
 // --- Disassembler -------------------------------------------------------

@@ -113,7 +113,8 @@ enum class ColClass : uint8_t { kMixed, kInt, kDouble, kBool };
 ///    optional per-row null-byte mask (1 = null; value lane then
 ///    don't-care);
 ///  - the AoS fallback (`cls` kMixed, no splat): the register lives in
-///    ExecScratch::cols as RegSlots, exactly like the scalar executor.
+///    ExecScratch::cols as RegSlots and runs row by row. Only registers
+///    whose rows mix types take this form.
 /// `val`/`null` may alias ColumnarBatch storage (zero-copy field loads)
 /// or the register's *own* scratch buffers — never another register's,
 /// since stack-shaped allocation reuses registers underneath.
@@ -126,20 +127,20 @@ struct SoaView {
 };
 
 /// Reusable register file, owned by the caller so one evaluation
-/// allocates nothing. Sized on first use per program. `cols` is the
-/// column-major register file of the columnar executor (register r is
-/// the slice [r * rows, (r + 1) * rows)).
+/// allocates nothing. Sized on first use per program. `regs` is the
+/// per-tuple executor's register file. `cols` is the columnar executor's
+/// column-major AoS file for mixed-type registers (register r is the
+/// slice [r * rows, (r + 1) * rows)).
 ///
-/// `simd` selects the columnar executor tier: the default resolves the
-/// TPSTREAM_SIMD environment variable (off|sse2|avx2|native) or the best
-/// level the machine supports; kOff runs the scalar RegSlot loops. The
-/// soa_* members are the SIMD executor's owned SoA storage: per-register
-/// 8-byte value lanes (soa_lanes), value/null byte pairs (soa_bytes),
-/// and conversion/mask scratch (num_tmp/byte_tmp).
+/// `simd` selects the kernel tier of the columnar executor: the default
+/// resolves the TPSTREAM_SIMD environment variable (sse2|avx2|native) or
+/// the best level the machine supports. The soa_* members are the
+/// columnar executor's owned SoA storage: per-register 8-byte value
+/// lanes (soa_lanes), value/null byte pairs (soa_bytes), and
+/// conversion/mask scratch (num_tmp/byte_tmp).
 struct ExecScratch {
   std::vector<RegSlot> regs;
   std::vector<RegSlot> cols;
-  std::vector<ColClass> reg_class;  // uniformity per column register
   simd::SimdLevel simd = simd::DefaultSimdLevel();
   std::vector<SoaView> soa_view;
   std::vector<uint64_t> soa_lanes;  // reg r: [r*rows, (r+1)*rows) lanes
@@ -258,10 +259,10 @@ class BytecodeProgram {
   /// so the per-row cost is just the operation itself. Results are
   /// bit-identical to Run() per row (the fuzzer pins this).
   ///
-  /// When scratch->simd is not kOff, registers use the SoA layout
-  /// (SoaView) and typed rows run through the simd.h kernel table; the
-  /// scalar RegSlot executor remains both the kOff path and the
-  /// per-instruction fallback for mixed-typed rows.
+  /// Registers use the SoA layout (SoaView), and typed rows run through
+  /// the simd.h kernel table of scratch->simd. A register whose rows mix
+  /// types falls back to per-row RegSlot operations for the
+  /// instructions that read it.
   void RunPredicateColumn(const ColumnarBatch& batch, ExecScratch* scratch,
                           uint8_t* out) const;
 
@@ -299,8 +300,6 @@ class BytecodeProgram {
   template <typename FieldLoader>
   RegSlot Exec(ExecScratch* scratch, const FieldLoader& load) const;
 
-  void RunColumnScalar(const ColumnarBatch& batch, ExecScratch* scratch,
-                       uint8_t* out) const;
   void RunColumnSoa(const ColumnarBatch& batch, ExecScratch* scratch,
                     const simd::Kernels& kernels, uint8_t* out_bytes,
                     uint64_t* out_words) const;

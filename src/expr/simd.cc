@@ -6,8 +6,6 @@ namespace tpstream::simd {
 
 const char* SimdLevelName(SimdLevel level) {
   switch (level) {
-    case SimdLevel::kOff:
-      return "off";
     case SimdLevel::kSse2:
       return "sse2";
     case SimdLevel::kAvx2:
@@ -30,9 +28,7 @@ SimdLevel BestSimdLevel() {
 }
 
 bool ParseSimdLevel(std::string_view text, SimdLevel* out) {
-  if (text == "off") {
-    *out = SimdLevel::kOff;
-  } else if (text == "sse2") {
+  if (text == "sse2") {
     *out = SimdLevel::kSse2;
   } else if (text == "avx2") {
     *out = SimdLevel::kAvx2;
@@ -63,20 +59,13 @@ SimdLevel DefaultSimdLevel() {
   return level;
 }
 
-const Kernels* KernelsFor(SimdLevel level) {
-  switch (Effective(level)) {
-    case SimdLevel::kOff:
-      return nullptr;
-    case SimdLevel::kSse2:
-      return internal::KernelsSse2();
-    case SimdLevel::kAvx2:
+const Kernels& KernelsFor(SimdLevel level) {
 #if defined(TPSTREAM_HAVE_AVX2_TU)
-      return internal::KernelsAvx2();
+  if (Effective(level) == SimdLevel::kAvx2) return *internal::KernelsAvx2();
 #else
-      return internal::KernelsSse2();
+  (void)level;
 #endif
-  }
-  return nullptr;
+  return *internal::KernelsSse2();
 }
 
 }  // namespace tpstream::simd

@@ -8,24 +8,23 @@
 namespace tpstream::simd {
 
 /// Vector width tier of the columnar kernels. Levels are ordered: a
-/// request above what the machine supports clamps down (Effective), and
-/// kOff selects the scalar RegSlot executor, which stays the
-/// semantically-guaranteed fallback on every platform.
+/// request above what the machine supports clamps down (Effective).
 ///
-/// kSse2 is the portable 128-bit tier: on x86-64 it compiles to SSE2
-/// (baseline, always present); elsewhere the same generic-vector kernels
-/// compile to whatever 128-bit ISA the target has (or scalar code), so
-/// the tier is always available. kAvx2 exists only when the build could
-/// compile the 256-bit translation unit *and* the CPU reports AVX2.
-enum class SimdLevel : uint8_t { kOff = 0, kSse2 = 1, kAvx2 = 2 };
+/// kSse2 is the portable floor, a 128-bit tier: on x86-64 it compiles to
+/// SSE2 (baseline, always present); elsewhere the same generic-vector
+/// kernels compile to whatever 128-bit ISA the target has (or scalar
+/// code), so the tier is always available. kAvx2 exists only when the
+/// build could compile the 256-bit translation unit *and* the CPU
+/// reports AVX2.
+enum class SimdLevel : uint8_t { kSse2, kAvx2 };
 
-/// "off" / "sse2" / "avx2".
+/// "sse2" / "avx2".
 const char* SimdLevelName(SimdLevel level);
 
 /// Best level this machine supports (cached capability probe).
 SimdLevel BestSimdLevel();
 
-/// Parses "off" | "sse2" | "avx2" | "native" ("native" resolves to
+/// Parses "sse2" | "avx2" | "native" ("native" resolves to
 /// BestSimdLevel()). Returns false (and leaves *out alone) on anything
 /// else, including empty.
 bool ParseSimdLevel(std::string_view text, SimdLevel* out);
@@ -37,11 +36,12 @@ SimdLevel Effective(SimdLevel requested);
 /// to a parsable value, otherwise BestSimdLevel(). Cached on first call.
 SimdLevel DefaultSimdLevel();
 
-/// Function-pointer table of one level's kernels, or nullptr for kOff.
-/// Cross-TU dispatch: the AVX2 table lives in a TU compiled with -mavx2,
-/// so 256-bit code can never leak into paths executed on narrower CPUs.
+/// Function-pointer table of the kernels `level` runs at (after
+/// Effective). Cross-TU dispatch: the AVX2 table lives in a TU compiled
+/// with -mavx2, so 256-bit code can never leak into paths executed on
+/// narrower CPUs.
 struct Kernels;
-const Kernels* KernelsFor(SimdLevel level);
+const Kernels& KernelsFor(SimdLevel level);
 
 /// One tier's columnar kernels. Boolean columns are byte arrays (one
 /// 0/1 byte per row); null masks are byte arrays too (1 = null,

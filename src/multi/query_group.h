@@ -81,9 +81,9 @@ class QueryGroup {
     /// predicate across ALL registered queries compiles exactly once
     /// (pinned by num_compiled_programs()). Off by default.
     bool compiled_predicates = false;
-    /// SIMD tier for columnar predicate evaluation ("off", "sse2",
-    /// "avx2", "native"); empty defers to TPSTREAM_SIMD, then the
-    /// machine default. See DeriveOptions::simd.
+    /// SIMD tier for columnar predicate evaluation ("sse2", "avx2",
+    /// "native"); empty defers to TPSTREAM_SIMD, then the machine
+    /// default. See DeriveOptions::simd.
     std::string simd;
   };
 

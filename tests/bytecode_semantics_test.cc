@@ -12,6 +12,7 @@
 #include "core/operator.h"
 #include "expr/bytecode.h"
 #include "expr/expression.h"
+#include "expr/simd.h"
 #include "query/builder.h"
 #include "query/parser.h"
 
@@ -35,9 +36,36 @@ uint64_t DoubleBits(double d) {
   return bits;
 }
 
-// Evaluates `expr` with both evaluators, asserts they agree bit-for-bit,
-// and returns the (shared) result for assertions about the semantics
-// themselves.
+// Runs the columnar executor over `events` at every SIMD tier this
+// machine supports, through both the byte and the bitmap entry points,
+// and asserts each row equals the interpreter's predicate result.
+void ExpectColumnarAgrees(const Expression& expr, const BytecodeProgram& p,
+                          const std::vector<Event>& events) {
+  ColumnarBatch batch;
+  batch.Assign({events.data(), events.size()}, p.referenced_fields());
+  for (int l = static_cast<int>(simd::SimdLevel::kSse2);
+       l <= static_cast<int>(simd::BestSimdLevel()); ++l) {
+    ExecScratch scratch;
+    scratch.simd = static_cast<simd::SimdLevel>(l);
+    std::vector<uint8_t> bytes(events.size(), 0xAA);
+    p.RunPredicateColumn(batch, &scratch, bytes.data());
+    std::vector<uint64_t> bits((events.size() + 63) / 64, ~uint64_t{0});
+    p.RunPredicateColumnBits(batch, &scratch, bits.data());
+    for (size_t row = 0; row < events.size(); ++row) {
+      const bool want = EvalPredicate(expr, events[row].payload);
+      EXPECT_EQ(want, bytes[row] != 0)
+          << expr.ToString() << " row " << row << " TPSTREAM_SIMD="
+          << simd::SimdLevelName(scratch.simd);
+      EXPECT_EQ(want, (bits[row >> 6] >> (row & 63) & 1) != 0)
+          << expr.ToString() << " row " << row << " TPSTREAM_SIMD="
+          << simd::SimdLevelName(scratch.simd);
+    }
+  }
+}
+
+// Evaluates `expr` with both evaluators, asserts they agree bit-for-bit
+// (and that the columnar executor agrees on a one-row batch), and returns
+// the (shared) result for assertions about the semantics themselves.
 Value Both(const ExprPtr& expr, const Tuple& tuple) {
   const Value interpreted = expr->Eval(tuple);
   auto compiled = CompilePredicate(*expr);
@@ -70,6 +98,7 @@ Value Both(const ExprPtr& expr, const Tuple& tuple) {
   EXPECT_EQ(EvalPredicate(*expr, tuple),
             compiled.value()->RunPredicate(tuple))
       << expr->ToString();
+  ExpectColumnarAgrees(*expr, *compiled.value(), {Event(tuple, 1)});
   return interpreted;
 }
 
@@ -197,6 +226,60 @@ TEST(BytecodeSemanticsTest, StringsCompareAndNeverCoerce) {
   // Arithmetic on strings is a type error -> null.
   EXPECT_TRUE(
       Both(Binary(BinaryOp::kAdd, FieldRef(0), FieldRef(1)), t).is_null());
+}
+
+TEST(BytecodeSemanticsTest, MixedTypeColumnsRunTheRowFallback) {
+  // Field 0's rows mix every value type (plus a short tuple), so its
+  // column has no typed SoA form: NOT, negation and truthiness on it run
+  // the columnar executor's per-row RegSlot fallback, as do the binary
+  // operators and fused comparisons that read it. Field 1 is a plain
+  // double column, so the mixed side meets a typed side too.
+  const std::vector<Tuple> rows = {
+      {Value(int64_t{3}), Value(1.0)},
+      {Value(-2.5), Value(0.0)},
+      {Value(true), Value(-1.0)},
+      {Value(false), Value(2.0)},
+      {Value(std::string("x")), Value(3.0)},
+      {Value(), Value(4.0)},
+      {Value(int64_t{0}), Value(kNaN)},
+      {Value(0.0), Value(5.0)},
+      {Value(-0.0), Value(6.0)},
+      {Value(kNaN), Value(7.0)},
+      {Value(kIntMin), Value(8.0)},
+      {},
+  };
+  std::vector<Event> events;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    events.emplace_back(rows[i], static_cast<TimePoint>(i + 1));
+  }
+  const ExprPtr f0 = FieldRef(0);
+  const ExprPtr f1 = FieldRef(1);
+  const std::vector<ExprPtr> table = {
+      Not(f0),
+      Negate(f0),
+      f0,  // truthiness of the mixed register itself
+      Not(Negate(f0)),
+      Not(Not(f0)),
+      Gt(Negate(f0), Literal(0.0)),
+      Binary(BinaryOp::kAnd, f0, f1),
+      Binary(BinaryOp::kOr, Not(f0), f1),
+      Binary(BinaryOp::kAnd, Negate(f0), Not(f1)),
+      Gt(Binary(BinaryOp::kAdd, f0, f1), Literal(1.0)),
+      Binary(BinaryOp::kDiv, f1, f0),
+      Eq(f0, f0),
+      Ge(f0, Literal(int64_t{0})),
+      Binary(BinaryOp::kNe, f0, Literal(true)),
+  };
+  for (const ExprPtr& expr : table) {
+    auto compiled = CompilePredicate(*expr);
+    ASSERT_TRUE(compiled.ok()) << expr->ToString();
+    ColumnarBatch batch;
+    batch.Assign({events.data(), events.size()},
+                 compiled.value()->referenced_fields());
+    ASSERT_EQ(batch.ColumnClass(0), ColClass::kMixed) << expr->ToString();
+    ExpectColumnarAgrees(*expr, *compiled.value(), events);
+    for (const Tuple& t : rows) Both(expr, t);
+  }
 }
 
 TEST(BytecodeSemanticsTest, ShortCircuitSkipsPoisonedOperand) {

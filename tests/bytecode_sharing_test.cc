@@ -213,10 +213,13 @@ TEST(BytecodeSharingTest, SharedProgramsProduceIsolatedIdenticalMatches) {
 
 TEST(BytecodeSharingTest, SimdOptionPlumbsThroughAndLevelsAgree) {
   // The `simd` option string reaches the executor (simd_level() reports
-  // the clamped tier), and a batch-driven deriver pinned to the scalar
-  // fallback derives the identical situation stream as one at the
+  // the clamped tier), and a batch-driven deriver pinned to the portable
+  // 128-bit tier derives the identical situation stream as one at the
   // machine's best tier — over batch sizes that straddle the vector
   // widths and the bitmap word so tail paths are on the measured path.
+  // The retired "off" level is unparsable and runs at the default tier.
+  simd::SimdLevel parsed = simd::SimdLevel::kSse2;
+  EXPECT_FALSE(simd::ParseSimdLevel("off", &parsed));
   auto defs = [] {
     std::vector<SituationDefinition> out;
     out.push_back(Def("A", Gt(FieldRef(0), Literal(50.0))));
@@ -233,9 +236,10 @@ TEST(BytecodeSharingTest, SimdOptionPlumbsThroughAndLevelsAgree) {
     options.simd = simd;
     Deriver deriver(defs(), /*announce_starts=*/true, /*metrics=*/nullptr,
                     options);
-    EXPECT_STREQ(deriver.simd_level(),
-                 simd == "off" ? "off"
-                               : simd::SimdLevelName(simd::BestSimdLevel()));
+    const simd::SimdLevel want = simd == "sse2"     ? simd::SimdLevel::kSse2
+                                 : simd == "native" ? simd::BestSimdLevel()
+                                                    : simd::DefaultSimdLevel();
+    EXPECT_STREQ(deriver.simd_level(), simd::SimdLevelName(want)) << simd;
     std::vector<std::tuple<int, TimePoint, TimePoint>> log;
     std::vector<Event> batch;
     uint64_t s = 11;
@@ -266,10 +270,11 @@ TEST(BytecodeSharingTest, SimdOptionPlumbsThroughAndLevelsAgree) {
     return log;
   };
 
-  const auto scalar = run("off");
+  const auto sse2 = run("sse2");
   const auto best = run("native");
-  EXPECT_FALSE(scalar.empty());
-  EXPECT_EQ(scalar, best);
+  EXPECT_FALSE(sse2.empty());
+  EXPECT_EQ(sse2, best);
+  EXPECT_EQ(run("off"), best);
 }
 
 }  // namespace
